@@ -142,12 +142,6 @@ class Player(ContextClass):
         yield self.gold_mine.set_time(tick)
         yield self.treasure.set_time(tick)
 
-    @readonly
-    @cost(0.4)
-    def wealth_hint(self) -> int:
-        """A cheap read-only probe on the player."""
-        return self.player_id
-
 
 class Room(ContextClass):
     """A room: owns its players and items; one per server in Fig. 5a."""

@@ -74,12 +74,6 @@ class Shard(ContextClass):
         self.touched += 1
         return self.touched
 
-    @readonly
-    @cost(0.4)
-    def load_hint(self) -> int:
-        """Shard-level touches so far (read-only)."""
-        return self.touched
-
 
 class MassivePlayer(ContextClass):
     """A game-flavor leaf: score accumulation plus a read-only probe.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Any, Dict, Generator, List, Optional, Sequence, Set, Tuple, Type
 
 from ..sim.cluster import Cluster, Server
-from ..sim.kernel import CpuCharge, Process, Signal, SimulationError, Simulator
+from ..sim.kernel import CpuCharge, Process, Signal, Simulator
 from ..sim.metrics import LatencyRecorder, ThroughputRecorder
 from ..sim.network import LatencyModel, Network
 from .analysis import StaticAnalysis
@@ -265,21 +265,6 @@ class RuntimeBase:
         charge.resource = server.cpu
         charge.delay = work_ms * self.cpu_factor / server.itype.speed
         return charge
-
-    def _hop(
-        self, event: Event, src_server: Server, dst_name: str, size_bytes: int
-    ) -> Generator:
-        """Send a message from ``src_server`` to endpoint ``dst_name``.
-
-        Cross-server messages charge sender-side CPU (serialization,
-        syscalls) before traversing the network; same-server delivery is
-        (nearly) free.  This asymmetry is what rewards AEON's placement
-        co-location and penalizes Orleans' hash placement.
-        """
-        if src_server.name != dst_name:
-            yield self._charge(src_server, self.costs.net_cpu_ms)
-            event.hops += 1
-        yield self.network.delay_ms(src_server.name, dst_name, size_bytes)
 
     def lock_of(self, cid: str) -> ContextLock:
         """The lock object for ``cid`` (created lazily for virtual joins)."""
@@ -1048,6 +1033,4 @@ def _release_lock_batch(sim: Simulator, locks: List[ContextLock], event: Event) 
     for lock in locks:
         lock.release(event)
     if sim._max_steps is not None:
-        sim._step_count += len(locks) - 1
-        if sim._step_count > sim._max_steps:
-            raise SimulationError(f"exceeded max_steps={sim._max_steps}")
+        sim._count_inline_step(len(locks) - 1)

@@ -6,7 +6,8 @@ reproduction would measure GIL contention rather than protocol behaviour,
 so instead every runtime (AEON, EventWave, Orleans) executes on this
 deterministic simulator.  The kernel is deliberately small and SimPy-like:
 
-* :class:`Simulator` owns the virtual clock and the event heap.
+* :class:`Simulator` owns the virtual clock, the immediate queue and
+  the timer queue (:class:`HeapTimers`, a binary heap).
 * :class:`Signal` is a one-shot occurrence that processes can wait on.
 * :class:`Timeout` is a signal that fires after a virtual delay.
 * :class:`Process` drives a generator; each ``yield`` suspends the process
@@ -19,8 +20,6 @@ the paper's numbers (latencies of a few ms, SLA of 10 ms) read naturally.
 from __future__ import annotations
 
 import gc
-import os
-from bisect import bisect_left, insort
 from collections import deque
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
@@ -35,8 +34,6 @@ __all__ = [
     "CpuCharge",
     "SimulationError",
     "HeapTimers",
-    "CalendarTimers",
-    "AdaptiveTimers",
 ]
 
 
@@ -278,18 +275,23 @@ class CpuCharge:
         self.delay = delay
 
 
-class _HeapOps:
-    """Binary-heap timer-queue method bundle (shared by :class:`HeapTimers`
-    and the heap mode of :class:`AdaptiveTimers`; no instance layout)."""
+class HeapTimers:
+    """The kernel's timer queue: a binary heap.
 
-    __slots__ = ()
+    Entries are ``(fire_at, seq, callback, args)`` tuples, totally
+    ordered by ``(fire_at, seq)``.  ``head`` always holds the minimum
+    entry (or ``None`` when empty) so hot-path peeks are a single
+    attribute load.  See docs/ARCHITECTURE.md § Timer queue.
+    """
+
+    __slots__ = ("_heap", "head")
+
+    def __init__(self) -> None:
+        self._heap: List[Tuple[float, int, Callable, tuple]] = []
+        self.head: Optional[Tuple[float, int, Callable, tuple]] = None
 
     def __len__(self) -> int:
         return len(self._heap)
-
-    def entries(self) -> List[Tuple[float, int, Callable, tuple]]:
-        """All live entries, in arbitrary order (for queue handoff)."""
-        return list(self._heap)
 
     def push(self, entry: Tuple[float, int, Callable, tuple]) -> None:
         """Insert ``entry``; updates :attr:`head`."""
@@ -310,450 +312,6 @@ class _HeapOps:
         heap.remove(entry)
         heapify(heap)
         self.head = heap[0] if heap else None
-
-
-class HeapTimers(_HeapOps):
-    """Binary-heap timer queue.
-
-    The small-population half of the default :class:`AdaptiveTimers`
-    hybrid, and the plain fallback (``Simulator(timers="heap")`` /
-    ``REPRO_SIM_TIMERS=heap``).
-
-    Entries are ``(fire_at, seq, callback, args)`` tuples, totally
-    ordered by ``(fire_at, seq)``.  ``head`` always holds the minimum
-    entry (or ``None`` when empty) so hot-path peeks are a single
-    attribute load.  See docs/ARCHITECTURE.md § Timer queues.
-    """
-
-    __slots__ = ("_heap", "head")
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, Callable, tuple]] = []
-        self.head: Optional[Tuple[float, int, Callable, tuple]] = None
-
-
-class _CalendarOps:
-    """Calendar-queue method bundle (shared by :class:`CalendarTimers`
-    and the wheel mode of :class:`AdaptiveTimers`; no instance layout)."""
-
-    #: Empty buckets walked per promote before jumping to min(buckets).
-    SCAN_LIMIT = 32
-    #: Promoted-bucket size that triggers a width re-tune.
-    OVERSIZE = 512
-    #: Cumulative empty-bucket walks that trigger a width re-tune.
-    SCAN_DEBT = 4096
-
-    __slots__ = ()
-
-    def _init_calendar(self, width: float = 1.0) -> None:
-        self._buckets: dict = {}
-        self._width = width
-        self._inv_width = 1.0 / width
-        # The current run: a sorted list consumed from index _cur_i.
-        self._cur: List[tuple] = []
-        self._cur_i = 0
-        self._cur_key = 0
-        self._size = 0
-        self._scan_debt = 0
-        self._pops_since_tune = 0
-        self.head: Optional[Tuple[float, int, Callable, tuple]] = None
-
-    def __len__(self) -> int:
-        return self._size
-
-    def entries(self) -> List[tuple]:
-        """All live entries, in arbitrary order (for queue handoff)."""
-        live = [entry for bucket in self._buckets.values() for entry in bucket]
-        live.extend(self._cur[self._cur_i :])
-        return live
-
-    def push(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Insert ``entry``; updates :attr:`head`.  O(1) amortized."""
-        k = int(entry[0] * self._inv_width)
-        self._size += 1
-        head = self.head
-        if head is None:
-            # Empty queue: the entry becomes the current run.
-            self._cur = [entry]
-            self._cur_i = 0
-            self._cur_key = k
-            self.head = entry
-            return
-        if k > self._cur_key:
-            bucket = self._buckets.get(k)
-            if bucket is None:
-                self._buckets[k] = [entry]
-            else:
-                bucket.append(entry)
-            return
-        # Lands inside the current run (or before it): keep the
-        # unconsumed tail sorted by bisect-inserting the entry.
-        cur = self._cur
-        i = self._cur_i
-        insort(cur, entry, i)
-        if entry < head:
-            self.head = entry
-
-    def pop(self) -> Tuple[float, int, Callable, tuple]:
-        """Remove and return the minimum entry (:attr:`head`)."""
-        entry = self.head
-        if entry is None:
-            raise IndexError("pop from empty CalendarTimers")
-        self._size -= 1
-        i = self._cur_i + 1
-        cur = self._cur
-        if i < len(cur):
-            self._cur_i = i
-            self.head = cur[i]
-        else:
-            self._promote()
-        return entry
-
-    def cancel(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Remove a not-yet-fired ``entry``; raises ValueError if absent."""
-        if entry is self.head:
-            self.pop()
-            return
-        k = int(entry[0] * self._inv_width)
-        if k <= self._cur_key:
-            cur = self._cur
-            i = bisect_left(cur, entry, self._cur_i)
-            if i < len(cur) and cur[i] is entry:
-                del cur[i]
-                self._size -= 1
-                return
-            raise ValueError(f"entry not queued: {entry!r}")
-        bucket = self._buckets.get(k)
-        if bucket is None:
-            raise ValueError(f"entry not queued: {entry!r}")
-        bucket.remove(entry)
-        self._size -= 1
-        if not bucket:
-            del self._buckets[k]
-
-    def _promote(self) -> None:
-        # The current run is exhausted: sort the next nonempty bucket
-        # into a fresh run.  Walks at most SCAN_LIMIT empty buckets
-        # before jumping straight to the earliest bucket number.
-        if self._size == 0:
-            self._cur = []
-            self._cur_i = 0
-            self.head = None
-            return
-        buckets = self._buckets
-        k = self._cur_key
-        bucket = None
-        for _ in range(self.SCAN_LIMIT):
-            k += 1
-            bucket = buckets.pop(k, None)
-            if bucket is not None:
-                break
-        if bucket is None:
-            self._scan_debt += self.SCAN_LIMIT
-            k = min(buckets)
-            bucket = buckets.pop(k)
-        bucket.sort()
-        self._cur = bucket
-        self._cur_i = 0
-        self._cur_key = k
-        self.head = bucket[0]
-        self._pops_since_tune += len(bucket)
-        if len(bucket) > self.OVERSIZE or self._scan_debt > self.SCAN_DEBT:
-            self._retune()
-
-    def _retune(self) -> None:
-        # Re-tune the bucket width to ~4 mean gaps between *distinct*
-        # fire times and re-bucket every future entry.  Rate-limited to
-        # once per `size` promotions so a pathological mix cannot spend
-        # its time re-bucketing.
-        if self._pops_since_tune < self._size:
-            return
-        self._pops_since_tune = 0
-        self._scan_debt = 0
-        entries = [entry for bucket in self._buckets.values() for entry in bucket]
-        entries.extend(self._cur[self._cur_i :])
-        if len(entries) < 2:
-            return
-        times = {entry[0] for entry in entries}
-        lo = min(times)
-        hi = max(times)
-        if len(times) < 2 or hi <= lo:
-            return
-        self._width = max((hi - lo) / (len(times) - 1), 1e-9) * 4.0
-        self._inv_width = 1.0 / self._width
-        inv_width = self._inv_width
-        head = self.head
-        buckets: dict = {}
-        for entry in entries:
-            if entry is head:
-                continue
-            k = int(entry[0] * inv_width)
-            bucket = buckets.get(k)
-            if bucket is None:
-                buckets[k] = [entry]
-            else:
-                bucket.append(entry)
-        # The head's own bucket must stay in the current run — _promote
-        # only ever scans *forward* from _cur_key.
-        k_head = int(head[0] * inv_width)
-        run = buckets.pop(k_head, [])
-        run.append(head)
-        run.sort()
-        self._buckets = buckets
-        self._cur = run
-        self._cur_i = 0
-        self._cur_key = k_head
-
-
-class CalendarTimers(_CalendarOps):
-    """Calendar-queue (bucketed timer wheel) timer queue.
-
-    The large-population half of the default :class:`AdaptiveTimers`
-    hybrid; also selectable outright with ``Simulator(timers="calendar")``
-    / ``REPRO_SIM_TIMERS=calendar``.
-
-    Timers hash into buckets of ``width`` virtual milliseconds by
-    absolute bucket number ``int(fire_at / width)`` (a dict keyed by
-    bucket number, so there are no wrap-around laps and far-future
-    timers cost nothing until their bucket comes up).  Buckets are
-    *lazily sorted*: a future bucket is a plain append-list; when the
-    wheel reaches it, :meth:`_promote` sorts it once (C timsort) into
-    the *current run* ``_cur``, and pops walk that run by index — O(1)
-    per pop, O(1) per push, sort cost amortized to O(log bucket) C
-    comparisons per timer.  The executed order is exactly
-    ``(fire_at, seq)`` — bit-identical to :class:`HeapTimers`, which the
-    trace checksums in ``tests/test_determinism.py`` gate.
-
-    A push landing inside the current run (delay shorter than the rest
-    of the bucket) bisect-inserts into the unconsumed tail, so ordering
-    stays exact without heap discipline.  The bucket width re-tunes
-    (``_retune``) to ~4 mean gaps between *distinct* fire times —
-    simulated timers cluster on grids (fixed think times, constant
-    latencies), and counting duplicates would undersize buckets —
-    whenever a promoted bucket is grossly oversized or the wheel walks
-    long empty stretches.  See docs/ARCHITECTURE.md § Timer queues.
-    """
-
-    __slots__ = (
-        "_buckets",
-        "_width",
-        "_inv_width",
-        "_cur",
-        "_cur_i",
-        "_cur_key",
-        "_size",
-        "_scan_debt",
-        "_pops_since_tune",
-        "head",
-    )
-
-    def __init__(self, width: float = 1.0) -> None:
-        self._init_calendar(width)
-
-
-class AdaptiveTimers:
-    """Adaptive timer queue: binary heap when small, calendar wheel when
-    large — the default.
-
-    PR 4's measurements (see ROADMAP.md § Performance) showed
-    :class:`CalendarTimers` beating C ``heapq`` on big timer populations
-    but *losing* ~10 % on small ones (``resource_contention``: ~14 live
-    timers), where heap operations are a couple of C calls and the
-    wheel's Python-level bucket bookkeeping cannot compete.  This queue
-    takes both regimes: it runs the heap code while the live size stays
-    below the upshift threshold, hands every live entry to fresh
-    calendar state when a push crosses it, and hands back when a pop
-    drains below the downshift threshold.
-
-    The thresholds are **auto-tuned online**: :data:`UP`/:data:`DOWN`
-    (64/24, PR 4's measured crossover) only seed the band.  Every
-    migration observes the live size at the handoff and folds it into
-    an integer EWMA (``_ewma16``, a 16x fixed-point mean of the sizes
-    at which the population actually crosses modes); the band is then
-    recentered around that profile — upshift at ~2x the mean, downshift
-    at ~mean/2 (clamped to ``[DOWN_MIN, up/4]``, keeping hysteresis) —
-    so a population oscillating around one fixed threshold widens its
-    own band instead of thrashing migrations, while a fresh queue
-    behaves exactly like the fixed-constant version until the first
-    handoff.  Threshold choice affects only *when* handoffs happen,
-    never pop order, so traces stay bit-identical by construction.
-
-    Implementation note: instead of delegating to an inner queue object
-    (a wrapper layer costs ~10 % on the push/pop hot path, defeating
-    the point), the instance **switches its own class** between two
-    mode classes (:class:`_AdaptiveHeap` / :class:`_AdaptiveCalendar`)
-    that share this class's slot layout and inherit the real
-    :class:`_HeapOps` / :class:`_CalendarOps` method bundles — so each
-    push/pop runs the same code as the pure queues, plus one length
-    check.  ``AdaptiveTimers()`` constructs an instance in heap mode;
-    ``isinstance(q, AdaptiveTimers)`` holds in both modes.
-
-    The handoff is *exact*: both method bundles pop in ``(fire_at,
-    seq)`` order, and a migration moves the live-entry set verbatim, so
-    the merged pop sequence is bit-identical to either pure queue — the
-    determinism trace checksums (``tests/test_determinism.py``) run on
-    this queue.  Selected with ``Simulator(timers="adaptive")`` or
-    ``REPRO_SIM_TIMERS=adaptive`` (the default); see
-    docs/ARCHITECTURE.md § Timer queues.
-    """
-
-    #: Initial (and minimum) heap -> calendar upshift threshold.
-    UP = 64
-    #: Initial calendar -> heap downshift threshold.
-    DOWN = 24
-    #: Hard ceiling for the auto-tuned upshift threshold.
-    UP_MAX = 4096
-    #: Hard floor for the auto-tuned downshift threshold.
-    DOWN_MIN = 8
-
-    # Union of both modes' state so __class__ switching keeps one layout.
-    __slots__ = (
-        "_heap",
-        "_buckets",
-        "_width",
-        "_inv_width",
-        "_cur",
-        "_cur_i",
-        "_cur_key",
-        "_size",
-        "_scan_debt",
-        "_pops_since_tune",
-        "_up",
-        "_down",
-        "_ewma16",
-        "head",
-    )
-
-    def __new__(cls) -> "AdaptiveTimers":
-        if cls is AdaptiveTimers:
-            return object.__new__(_AdaptiveHeap)
-        return object.__new__(cls)
-
-    def __init__(self) -> None:
-        self._heap = []
-        self.head = None
-        self._up = self.UP
-        self._down = self.DOWN
-        self._ewma16 = 0
-
-    @property
-    def mode(self) -> str:
-        """The active implementation: ``"heap"`` or ``"calendar"``."""
-        return "heap" if isinstance(self, _AdaptiveHeap) else "calendar"
-
-    @property
-    def band(self) -> Tuple[int, int]:
-        """The current auto-tuned ``(upshift, downshift)`` thresholds."""
-        return (self._up, self._down)
-
-    def _observe(self, n: int) -> None:
-        """Fold a migration-time live size into the threshold band.
-
-        Integer-only: ``_ewma16`` holds 16x the running mean of the
-        sizes at which the population crossed modes (gain 1/4 per
-        observation).  The band recenters on that profile — upshift at
-        ~2x the mean (clamped to [UP, UP_MAX]), downshift at ~mean/2
-        (clamped to [DOWN_MIN, upshift/4]) — so hysteresis always spans
-        at least 4x and an oscillating population settles into one mode
-        instead of thrashing handoffs.
-        """
-        e = self._ewma16
-        e = (n << 4) if e == 0 else e + (((n << 4) - e) >> 2)
-        self._ewma16 = e
-        m = e >> 4
-        up = m << 1
-        if up < self.UP:
-            up = self.UP
-        elif up > self.UP_MAX:
-            up = self.UP_MAX
-        down = m >> 1
-        cap = up >> 2
-        if down > cap:
-            down = cap
-        if down < self.DOWN_MIN:
-            down = self.DOWN_MIN
-        self._up = up
-        self._down = down
-
-
-class _AdaptiveHeap(_HeapOps, AdaptiveTimers):
-    """Heap mode of :class:`AdaptiveTimers` (push checks the UP threshold)."""
-
-    __slots__ = ()
-
-    def push(self, entry: Tuple[float, int, Callable, tuple]) -> None:
-        """Heap push, migrating to the calendar wheel past ``UP`` entries."""
-        heap = self._heap
-        heappush(heap, entry)
-        self.head = heap[0]
-        if len(heap) > self._up:
-            self._to_calendar()
-
-    def _to_calendar(self) -> None:
-        # Move the live set verbatim into fresh calendar state.  Order
-        # within the set is irrelevant: each mode orders pops by
-        # (fire_at, seq) on its own, so the handoff is exact.
-        entries = self._heap
-        self._observe(len(entries))
-        self._heap = []
-        self.__class__ = _AdaptiveCalendar
-        self._init_calendar()
-        push = _CalendarOps.push
-        for entry in entries:
-            push(self, entry)
-
-
-class _AdaptiveCalendar(_CalendarOps, AdaptiveTimers):
-    """Wheel mode of :class:`AdaptiveTimers` (pop checks the DOWN threshold)."""
-
-    __slots__ = ()
-
-    def pop(self) -> Tuple[float, int, Callable, tuple]:
-        """Calendar pop, migrating back to the heap below ``DOWN`` entries."""
-        # Inlined _CalendarOps.pop plus the downshift check: an extra
-        # call layer here is measurable at storm rates.
-        entry = self.head
-        if entry is None:
-            raise IndexError("pop from empty CalendarTimers")
-        size = self._size - 1
-        self._size = size
-        i = self._cur_i + 1
-        cur = self._cur
-        if i < len(cur):
-            self._cur_i = i
-            self.head = cur[i]
-        else:
-            self._promote()
-        if size < self._down:
-            self._to_heap()
-        return entry
-
-    def _to_heap(self) -> None:
-        # Move the live set verbatim onto a fresh heap (see _to_calendar).
-        entries = [entry for bucket in self._buckets.values() for entry in bucket]
-        entries.extend(self._cur[self._cur_i :])
-        self._observe(len(entries))
-        self._buckets = {}
-        self._cur = []
-        self.__class__ = _AdaptiveHeap
-        heapify(entries)
-        self._heap = entries
-        self.head = entries[0] if entries else None
-
-
-def _make_timers(mode: Optional[str]):
-    """Build the timer queue selected by ``mode`` / ``REPRO_SIM_TIMERS``."""
-    mode = mode or os.environ.get("REPRO_SIM_TIMERS", "adaptive")
-    if mode == "adaptive":
-        return AdaptiveTimers()
-    if mode == "calendar":
-        return CalendarTimers()
-    if mode == "heap":
-        return HeapTimers()
-    raise ValueError(
-        f"unknown timer queue {mode!r}; pick 'adaptive', 'calendar' or 'heap'"
-    )
-
 
 
 class Process(Signal):
@@ -855,12 +413,8 @@ class Process(Signal):
                         until is None or fire_at <= until
                     ):
                         sim.now = fire_at
-                        if sim._max_steps is not None:
-                            sim._step_count += 2  # the timer pop + resume
-                            if sim._step_count > sim._max_steps:
-                                raise SimulationError(
-                                    f"exceeded max_steps={sim._max_steps}"
-                                )
+                        if sim._max_steps is not None:  # the timer pop + resume
+                            sim._count_inline_step(2)
                         value = exc = None
                         continue
                 sim._sequence += 1
@@ -897,11 +451,7 @@ class Process(Signal):
                         sim.call_soon(self._charge_start_cb)
                         return
                     if sim._max_steps is not None:  # the elided grant hop
-                        sim._step_count += 1
-                        if sim._step_count > sim._max_steps:
-                            raise SimulationError(
-                                f"exceeded max_steps={sim._max_steps}"
-                            )
+                        sim._count_inline_step()
                     # Service timer, mirroring the raw-delay branch
                     # (fast-forward included); release on fire.
                     fire_at = sim.now + delay
@@ -911,11 +461,7 @@ class Process(Signal):
                     ):
                         sim.now = fire_at
                         if sim._max_steps is not None:
-                            sim._step_count += 2
-                            if sim._step_count > sim._max_steps:
-                                raise SimulationError(
-                                    f"exceeded max_steps={sim._max_steps}"
-                                )
+                            sim._count_inline_step(2)
                         self._charge_res = None
                         resource.release_unit()
                         value = exc = None
@@ -945,11 +491,7 @@ class Process(Signal):
                     ):
                         value, exc = target.value, target.exc
                         if sim._max_steps is not None:
-                            sim._step_count += 1
-                            if sim._step_count > sim._max_steps:
-                                raise SimulationError(
-                                    f"exceeded max_steps={sim._max_steps}"
-                                )
+                            sim._count_inline_step()
                         continue
                     sim.call_soon(self._wait_cb, target)
                     return
@@ -990,9 +532,7 @@ class Process(Signal):
             ):
                 sim.now = fire_at
                 if sim._max_steps is not None:
-                    sim._step_count += 2
-                    if sim._step_count > sim._max_steps:
-                        raise SimulationError(f"exceeded max_steps={sim._max_steps}")
+                    sim._count_inline_step(2)
                 resource, self._charge_res = self._charge_res, None
                 resource.release_unit()
                 self._step(None, None)
@@ -1056,17 +596,13 @@ class Simulator:
     merges the two by key, so the executed order is identical to the
     heap-only kernel while zero-delay scheduling costs O(1).
 
-    Positive delays go to the *timer queue*: the :class:`AdaptiveTimers`
-    heap/wheel hybrid by default, or a pure :class:`CalendarTimers`
-    bucketed wheel / :class:`HeapTimers` binary heap
-    (``timers="calendar"``/``"heap"`` or ``REPRO_SIM_TIMERS``).  All
-    three order entries exactly by ``(fire_at, sequence)``, so the
-    choice never affects a trace.
+    Positive delays go to the *timer queue*, a :class:`HeapTimers`
+    binary heap ordered by the same ``(fire_at, sequence)`` keys.
     """
 
-    def __init__(self, timers: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self._timers = _make_timers(timers)
+        self._timers = HeapTimers()
         self._immediate: Deque[Tuple[float, int, Callable, tuple]] = deque()
         self._sequence = 0
         self._step_count = 0
@@ -1131,13 +667,15 @@ class Simulator:
         head = self._timers.head
         return head is None or head[0] > self.now
 
-    def _count_inline_step(self) -> None:
-        """Account an inline trampoline resume as one scheduler step.
+    def _count_inline_step(self, n: int = 1) -> None:
+        """Account ``n`` scheduler steps run inline (trampoline resumes,
+        fast-forwarded timers, elided hops) against the budget.
 
-        Steps are only counted while a ``max_steps`` budget is active.
+        Steps are only counted while a ``max_steps`` budget is active;
+        hot callers test ``_max_steps is not None`` first to skip the call.
         """
         if self._max_steps is not None:
-            self._step_count += 1
+            self._step_count += n
             if self._step_count > self._max_steps:
                 raise SimulationError(f"exceeded max_steps={self._max_steps}")
 

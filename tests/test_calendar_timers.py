@@ -1,24 +1,17 @@
-"""Unit tests for the calendar-queue timer wheel (sim/kernel.py).
+"""Unit tests for the kernel's timer queue, :class:`HeapTimers`.
 
-The kernel's timer queue must order entries *exactly* by
-``(fire_at, seq)`` — any deviation breaks the determinism trace
-checksums — so every test here cross-checks :class:`CalendarTimers`
-against :class:`HeapTimers` on the same entry stream, plus targeted
-coverage of bucket rollover, far-future jumps, width re-tunes and
-cancellation.
+The queue must pop entries *exactly* in ``(fire_at, seq)`` order — any
+deviation breaks the determinism trace checksums — and keep ``head`` equal
+to the live minimum after every push, pop and cancel.  The last tests cancel
+entries through ``Simulator.schedule``/``Simulator.cancel``.  The module
+keeps its name from the calendar-queue wheel that the heap replaced.
 """
 
 import random
 
 import pytest
 
-from repro.sim.kernel import (
-    AdaptiveTimers,
-    CalendarTimers,
-    HeapTimers,
-    SimulationError,
-    Simulator,
-)
+from repro.sim.kernel import HeapTimers, SimulationError, Simulator
 
 
 def _entry(t, seq):
@@ -35,144 +28,123 @@ def _drain(queue):
 
 
 def test_push_pop_orders_by_time_then_seq():
-    cal = CalendarTimers()
+    timers = HeapTimers()
     entries = [_entry(5.0, 2), _entry(1.0, 3), _entry(5.0, 1), _entry(0.5, 4)]
     for entry in entries:
-        cal.push(entry)
-    assert _drain(cal) == sorted(entries)
-
-
-def test_bucket_rollover_across_widths():
-    # Entries straddling many bucket boundaries (width defaults to 1.0)
-    # must come out in exact global order as the wheel advances bucket
-    # by bucket.
-    cal = CalendarTimers(width=1.0)
-    entries = [_entry(0.1 + 0.37 * i, i) for i in range(200)]
-    for entry in reversed(entries):
-        cal.push(entry)
-    assert _drain(cal) == sorted(entries)
+        timers.push(entry)
+    assert _drain(timers) == sorted(entries)
 
 
 def test_far_future_timer_jump():
-    # A lone timer far beyond SCAN_LIMIT empty buckets exercises the
-    # min(buckets) jump instead of a lap walk.
-    cal = CalendarTimers(width=1.0)
+    # A lone far-future entry behind a near one becomes head once the
+    # near one pops.
+    timers = HeapTimers()
     near = _entry(1.5, 1)
     far = _entry(1e6, 2)
-    cal.push(near)
-    cal.push(far)
-    assert cal.pop() is near
-    assert cal.head is far
-    assert cal.pop() is far
-    assert cal.head is None
+    timers.push(far)
+    timers.push(near)
+    assert timers.head is near
+    assert timers.pop() is near
+    assert timers.head is far
+    assert timers.pop() is far
+    assert timers.head is None
 
 
 def test_in_window_push_keeps_order():
-    # Pushing an entry that lands *inside* the current sorted run (a
-    # shorter delay than the run's remaining entries) must bisect in,
-    # not wait for the next lap.
-    cal = CalendarTimers(width=10.0)
+    # An entry pushed with a shorter delay than the queued ones becomes
+    # the new head and drains ahead of them.
+    timers = HeapTimers()
     a, b, c = _entry(1.0, 1), _entry(5.0, 2), _entry(9.0, 3)
     for entry in (a, b, c):
-        cal.push(entry)
-    assert cal.pop() is a
-    d = _entry(2.0, 4)  # lands before b in the current run
-    cal.push(d)
-    assert cal.head is d
-    assert _drain(cal) == [d, b, c]
+        timers.push(entry)
+    assert timers.pop() is a
+    d = _entry(2.0, 4)  # lands before b
+    timers.push(d)
+    assert timers.head is d
+    assert _drain(timers) == [d, b, c]
 
 
-def test_retune_on_oversized_bucket_preserves_order():
-    # Everything in one giant bucket: the promote-time re-tune must
-    # re-bucket without losing or reordering entries (including the ones
-    # sharing the head's new bucket).
-    cal = CalendarTimers(width=1e9)
-    entries = [_entry(float(i % 977), i) for i in range(CalendarTimers.OVERSIZE * 2)]
-    for entry in entries:
-        cal.push(entry)
-    assert _drain(cal) == sorted(entries)
-
-
-def test_randomized_equivalence_with_heap():
-    # Monotone interleaved push/pop streams (the kernel's usage pattern:
-    # pushes never predate the last popped fire time) must produce
-    # identical pop sequences from both queue implementations.
+def test_heap_timers_randomized_monotone_stream():
+    # The kernel's usage pattern: pushes never predate the last popped
+    # fire time.  `head` must always be the live minimum, and the queue
+    # must drain in exact (fire_at, seq) order.
     rng = random.Random(1234)
-    for round_ in range(5):
-        cal, heap = CalendarTimers(), HeapTimers()
-        seq = 0
-        now = 0.0
-        popped_cal, popped_heap = [], []
-        for _ in range(3000):
-            if len(cal) and rng.random() < 0.45:
-                entry = cal.pop()
-                assert heap.pop() is entry
-                now = entry[0]
-                popped_cal.append(entry)
+    timers = HeapTimers()
+    live = []
+    popped = []
+    seq = 0
+    now = 0.0
+    for _ in range(3000):
+        if live and rng.random() < 0.45:
+            entry = timers.pop()
+            live.remove(entry)
+            popped.append(entry)
+            now = entry[0]
+        else:
+            seq += 1
+            # Delay mix: grid-clustered, continuous and far-future.
+            roll = rng.random()
+            if roll < 0.5:
+                delay = rng.choice((0.25, 0.5, 1.0, 2.0))
+            elif roll < 0.9:
+                delay = rng.uniform(0.01, 30.0)
             else:
-                seq += 1
-                # Delay mix: grid-clustered, continuous and far-future.
-                roll = rng.random()
-                if roll < 0.5:
-                    delay = rng.choice((0.25, 0.5, 1.0, 2.0))
-                elif roll < 0.9:
-                    delay = rng.uniform(0.01, 30.0)
-                else:
-                    delay = rng.uniform(1e3, 1e5)
-                entry = _entry(now + delay, seq)
-                cal.push(entry)
-                heap.push(entry)
-            assert cal.head is heap.head or cal.head == heap.head
-        drained = _drain(cal)
-        assert drained == _drain(heap)
-
-
-def test_cancel_head_mid_run_and_future():
-    cal = CalendarTimers(width=1.0)
-    a, b, c, d = _entry(0.5, 1), _entry(0.6, 2), _entry(0.7, 3), _entry(50.0, 4)
-    for entry in (a, b, c, d):
-        cal.push(entry)
-    cal.cancel(a)  # head
-    assert cal.head is b
-    cal.cancel(c)  # mid current run
-    cal.cancel(d)  # future bucket
-    assert _drain(cal) == [b]
-
-
-def test_cancel_missing_entry_raises():
-    cal = CalendarTimers()
-    cal.push(_entry(1.0, 1))
-    with pytest.raises(ValueError):
-        cal.cancel(_entry(2.0, 2))
-    with pytest.raises(ValueError):
-        cal.cancel(_entry(1.0, 3))  # same bucket, not queued
+                delay = rng.uniform(1e3, 1e5)
+            entry = _entry(now + delay, seq)
+            timers.push(entry)
+            live.append(entry)
+        assert timers.head == (min(live) if live else None)
+        assert len(timers) == len(live)
+    popped.extend(_drain(timers))
+    assert popped == sorted(popped)
 
 
 def test_heap_timers_cancel():
-    heap = HeapTimers()
+    timers = HeapTimers()
     a, b = _entry(1.0, 1), _entry(2.0, 2)
-    heap.push(a)
-    heap.push(b)
-    heap.cancel(a)
-    assert heap.head is b
+    timers.push(a)
+    timers.push(b)
+    timers.cancel(a)
+    assert timers.head is b
     with pytest.raises(ValueError):
-        heap.cancel(a)
+        timers.cancel(a)  # already cancelled
+
+
+def test_cancel_head_mid_run_and_future():
+    timers = HeapTimers()
+    a, b, c, d = _entry(0.5, 1), _entry(0.6, 2), _entry(0.7, 3), _entry(50.0, 4)
+    for entry in (a, b, c, d):
+        timers.push(entry)
+    timers.cancel(a)  # the head
+    assert timers.head is b
+    timers.cancel(c)  # between the head and the far entry
+    timers.cancel(d)  # far future
+    assert _drain(timers) == [b]
+
+
+def test_cancel_missing_entry_raises():
+    timers = HeapTimers()
+    timers.push(_entry(1.0, 1))
+    with pytest.raises(ValueError):
+        timers.cancel(_entry(2.0, 2))
+    with pytest.raises(ValueError):
+        timers.cancel(_entry(1.0, 3))  # same fire time, not queued
+    assert len(timers) == 1
 
 
 def test_simulator_cancel_prevents_firing():
+    sim = Simulator()
     fired = []
-    for mode in ("calendar", "heap"):
-        sim = Simulator(timers=mode)
-        keep = sim.schedule(5.0, fired.append, f"keep-{mode}")
-        drop = sim.schedule(3.0, fired.append, f"drop-{mode}")
-        sim.cancel(drop)
-        sim.run()
-        assert keep[0] == 5.0
-        with pytest.raises(SimulationError):
-            sim.cancel(drop)  # already cancelled
-        with pytest.raises(SimulationError):
-            sim.cancel(keep)  # already fired
-    assert fired == ["keep-calendar", "keep-heap"]
+    keep = sim.schedule(5.0, fired.append, "keep")
+    drop = sim.schedule(3.0, fired.append, "drop")
+    sim.cancel(drop)
+    sim.run()
+    assert fired == ["keep"]
+    assert sim.now == keep[0] == 5.0
+    with pytest.raises(SimulationError):
+        sim.cancel(drop)  # already cancelled
+    with pytest.raises(SimulationError):
+        sim.cancel(keep)  # already fired
 
 
 def test_simulator_cancel_immediate_entry():
@@ -182,98 +154,3 @@ def test_simulator_cancel_immediate_entry():
     sim.cancel(entry)
     sim.run()
     assert fired == []
-
-
-def test_timer_mode_selection():
-    assert isinstance(Simulator()._timers, AdaptiveTimers)
-    assert isinstance(Simulator(timers="adaptive")._timers, AdaptiveTimers)
-    assert isinstance(Simulator(timers="heap")._timers, HeapTimers)
-    assert isinstance(Simulator(timers="calendar")._timers, CalendarTimers)
-    with pytest.raises(ValueError):
-        Simulator(timers="splay")
-
-
-def test_run_trace_identical_across_timer_modes():
-    # The same program must produce the same completion order and clock
-    # under all three timer queues.
-    def trace(mode):
-        sim = Simulator(timers=mode)
-        log = []
-
-        def worker(name, delay):
-            for i in range(50):
-                yield sim.timeout(delay)
-                log.append((sim.now, name, i))
-
-        for i, delay in enumerate((0.5, 0.75, 1.0, 1.25, 33.0)):
-            sim.process(worker(f"w{i}", delay))
-        sim.run()
-        return log, sim.now
-
-    assert trace("calendar") == trace("heap") == trace("adaptive")
-
-
-# ----------------------------------------------------------------------
-# AdaptiveTimers: heap below the threshold, wheel above, exact handoff
-# ----------------------------------------------------------------------
-def test_adaptive_starts_as_heap_and_migrates_both_ways():
-    ada = AdaptiveTimers()
-    assert ada.mode == "heap"
-    assert isinstance(ada, AdaptiveTimers)
-    entries = [_entry(float(i), i) for i in range(AdaptiveTimers.UP + 1)]
-    for entry in entries:
-        ada.push(entry)
-    # Crossed UP: now a calendar wheel (still the same object, still an
-    # AdaptiveTimers), with the same head.
-    assert ada.mode == "calendar"
-    assert isinstance(ada, AdaptiveTimers)
-    assert ada.head is entries[0]
-    # Drain below DOWN: back to a heap, order still exact.
-    drained = []
-    while len(ada) >= AdaptiveTimers.DOWN:
-        drained.append(ada.pop())
-    assert ada.mode == "heap"
-    drained.extend(_drain(ada))
-    assert drained == sorted(entries)
-
-
-def test_adaptive_randomized_equivalence_with_heap():
-    # Push/pop streams sized to cross the UP/DOWN thresholds repeatedly:
-    # every pop must match a reference heap exactly despite migrations.
-    rng = random.Random(99)
-    ada, heap = AdaptiveTimers(), HeapTimers()
-    seq = 0
-    now = 0.0
-    modes_seen = set()
-    for _ in range(6000):
-        grow = rng.random() < (0.7 if len(ada) < AdaptiveTimers.UP * 2 else 0.3)
-        if len(ada) and not grow:
-            entry = ada.pop()
-            assert heap.pop() is entry
-            now = entry[0]
-        else:
-            seq += 1
-            entry = _entry(now + rng.uniform(0.01, 20.0), seq)
-            ada.push(entry)
-            heap.push(entry)
-        modes_seen.add(ada.mode)
-        assert ada.head is heap.head
-    assert modes_seen == {"heap", "calendar"}, "stream never crossed the thresholds"
-    assert _drain(ada) == _drain(heap)
-
-
-def test_adaptive_cancel_in_both_modes():
-    ada = AdaptiveTimers()
-    small = [_entry(float(i), i) for i in range(4)]
-    for entry in small:
-        ada.push(entry)
-    ada.cancel(small[2])
-    assert _drain(ada) == [small[0], small[1], small[3]]
-    big = [_entry(float(i), i) for i in range(AdaptiveTimers.UP * 2)]
-    for entry in big:
-        ada.push(entry)
-    assert ada.mode == "calendar"
-    ada.cancel(big[5])
-    with pytest.raises(ValueError):
-        ada.cancel(big[5])
-    assert _drain(ada) == [e for e in big if e is not big[5]]

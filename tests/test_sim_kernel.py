@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.sim.kernel import AllOf, AnyOf, Signal, SimulationError, Simulator, Timeout
+from repro.sim.kernel import (
+    AllOf,
+    AnyOf,
+    CpuCharge,
+    Signal,
+    SimulationError,
+    Simulator,
+    Timeout,
+)
+from repro.sim.queues import Resource
 
 
 def test_clock_starts_at_zero():
@@ -244,6 +253,24 @@ def test_max_steps_guard():
     sim.process(forever())
     with pytest.raises(SimulationError):
         sim.run(max_steps=50)
+
+
+@pytest.mark.parametrize("charge", [False, True])
+def test_max_steps_counts_fast_forwarded_waits(charge):
+    # With nothing else queued, raw delays and uncontended CPU charges
+    # advance the clock inline without returning to the run loop; the
+    # budget must still count those steps.
+    sim = Simulator()
+    cpu = Resource(sim, capacity=1)
+
+    def long_loop():
+        for _ in range(1000):
+            yield CpuCharge(cpu, 1.0) if charge else 1.0
+
+    sim.process(long_loop())
+    with pytest.raises(SimulationError, match="max_steps=50"):
+        sim.run(max_steps=50)
+    assert sim.now < 50.0
 
 
 def test_run_process_unfinished_raises():
