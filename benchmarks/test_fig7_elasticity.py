@@ -1,13 +1,13 @@
 """Fig. 7 — elastic game vs static fleets under a client ramp."""
 
-from repro.harness.experiments import _elastic_game_run
+from repro.harness.scenarios import _elastic_cell
 from repro.sim.metrics import mean
 
 
 def test_fig7_elastic_vs_static(once):
     def run():
         return {
-            setup: _elastic_game_run(setup, "quick")
+            setup: _elastic_cell(setup, rep=0, scale="quick", seed=0)
             for setup in ("elastic", "8", "32")
         }
 

@@ -1,6 +1,7 @@
 """Experiment harness: declarative scenarios driving every figure."""
 
-from .experiments import ALL_EXPERIMENTS, render
+# The CLI (.experiments) is not imported here: ``python -m
+# repro.harness.experiments`` would otherwise execute that module twice.
 from .runner import CellPool, RunResult, SYSTEMS, Testbed, make_testbed, run_game
 from .scenarios import (
     ScenarioSpec,
@@ -11,8 +12,6 @@ from .scenarios import (
 )
 
 __all__ = [
-    "ALL_EXPERIMENTS",
-    "render",
     "CellPool",
     "RunResult",
     "SYSTEMS",

@@ -44,7 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..exec import EXECUTORS, ExecutorError, QueueExecutor, WorkerLostError
 from ..results.store import open_store, resolve_mode
@@ -54,7 +54,6 @@ from .scenarios import (
     Scale,
     ScenarioError,
     ScenarioSpec,
-    _elastic_game_run,  # noqa: F401  (re-export: benchmarks drive it directly)
     _jsonable,
     assemble_scenario,
     expand,

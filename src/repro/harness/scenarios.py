@@ -10,21 +10,22 @@ spec into results in three steps:
 * :func:`expand` enumerates the spec's sweep axes (systems × server
   counts × seeds × user-declared axes) into independent
   :class:`~repro.harness.runner.Cell`\\ s;
-* :func:`build_scenario` (via the :func:`run_point` cell body) wires a
-  testbed, application, clients and fault machinery from the spec and
+* :func:`run_point` (the generic cell body) wires a testbed,
+  application, clients and fault/elasticity machinery from the spec and
   runs one sweep point;
 * :func:`run_scenario` executes the cells (serially, across worker
   processes, or on a shared :class:`~repro.harness.runner.CellPool`)
-  and assembles/renders the figure data keyed off the spec's declared
-  output shape.
+  and assembles the figure data with the assembler that :data:`OUTPUTS`
+  declares for the spec's ``output`` kind (the same entry renders it).
 
-Scenarios register under a name with the :func:`scenario` decorator;
-``--scenario NAME`` / ``--list-scenarios`` / ``--set key=value`` on the
-CLI (``python -m repro.harness.experiments``) drive any of them.  All
-eleven legacy figures are registered specs — their ``figN()`` wrappers
-in :mod:`repro.harness.experiments` are thin aliases and their figure
-JSON is byte-identical to the pre-spec implementations (pinned by
-``tests/test_scenarios.py`` against ``tests/data/``).
+Scenarios register under a name with :func:`register` (or the
+:func:`scenario` decorator); ``--scenario NAME`` / ``--list-scenarios``
+/ ``--set key=value`` on the CLI (``python -m repro.harness.experiments``)
+drive any of them.  All eleven legacy figures are registered specs —
+their ``figN()`` wrappers in :mod:`repro.harness.experiments` are thin
+aliases and their figure JSON is byte-identical to the pre-spec
+implementations (pinned by ``tests/test_scenarios.py`` against
+``tests/data/``).
 
 Authoring guide (a new scenario in under 20 lines): docs/SCENARIOS.md.
 """
@@ -32,8 +33,8 @@ Authoring guide (a new scenario in under 20 lines): docs/SCENARIOS.md.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..apps.game import GameConfig, Room, build_game
 from ..apps.massive import MassiveConfig, build_massive, run_checksum
@@ -53,7 +54,7 @@ from ..results.store import open_store
 from ..sim.cluster import INSTANCE_TYPES, M1_SMALL, M3_LARGE, Server
 from ..sim.metrics import LatencyRecorder, mean, percentile
 from ..workloads.generators import ClosedLoopClients, DynamicClients, RampProfile
-from ..workloads.sla import availability_slo, sla_report
+from ..workloads.sla import SlaReport, availability_slo, sla_report
 from .report import format_table
 from .runner import Cell, SYSTEMS, make_testbed, measure, run_cells, run_game
 
@@ -76,12 +77,14 @@ __all__ = [
     "list_scenarios",
     "REGISTRY",
     "sweep_axes",
-    "zip_points",
     "expand",
     "apply_overrides",
-    "build_scenario",
     "run_point",
     "run_scenario",
+    "OUTPUTS",
+    "Output",
+    "Table",
+    "Col",
     "assemble_scenario",
     "render_scenario",
     "fig10_phases",
@@ -93,19 +96,19 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass
 class Scale:
-    """Experiment sizing knobs."""
+    """Experiment sizing knobs; the defaults are the "quick" preset."""
 
-    game_duration_ms: float
-    game_warmup_ms: float
-    game_clients_per_server: int
-    tpcc_duration_ms: float
-    tpcc_warmup_ms: float
-    tpcc_clients_per_server: int
-    server_counts: Tuple[int, ...]
-    client_sweep: Tuple[int, ...]
-    elastic_duration_ms: float
-    migration_duration_ms: float
-    emanager_batch: int
+    game_duration_ms: float = 1200.0
+    game_warmup_ms: float = 400.0
+    game_clients_per_server: int = 60
+    tpcc_duration_ms: float = 8000.0
+    tpcc_warmup_ms: float = 2500.0
+    tpcc_clients_per_server: int = 12
+    server_counts: Tuple[int, ...] = (2, 4, 8)
+    client_sweep: Tuple[int, ...] = (8, 32, 96, 192)
+    elastic_duration_ms: float = 40000.0
+    migration_duration_ms: float = 12000.0
+    emanager_batch: int = 40
     fault_duration_ms: float = 16000.0
     fault_clients: int = 48
     fault_checkpoint_ms: float = 1500.0
@@ -125,41 +128,25 @@ class Scale:
     massive_think_ms: float = 2.0
 
 
+#: Figure sizing shared by the "full" and "massive" presets.
+_FULL_FIGURES = dict(
+    game_duration_ms=2500.0,
+    game_warmup_ms=700.0,
+    game_clients_per_server=110,
+    tpcc_duration_ms=15000.0,
+    tpcc_warmup_ms=4000.0,
+    tpcc_clients_per_server=16,
+    server_counts=(2, 4, 8, 12, 16),
+    client_sweep=(8, 24, 64, 128, 256, 512),
+    elastic_duration_ms=60000.0,
+    migration_duration_ms=20000.0,
+    emanager_batch=120,
+)
+
 SCALES: Dict[str, Scale] = {
-    "quick": Scale(
-        game_duration_ms=1200.0,
-        game_warmup_ms=400.0,
-        game_clients_per_server=60,
-        tpcc_duration_ms=8000.0,
-        tpcc_warmup_ms=2500.0,
-        tpcc_clients_per_server=12,
-        server_counts=(2, 4, 8),
-        client_sweep=(8, 32, 96, 192),
-        elastic_duration_ms=40000.0,
-        migration_duration_ms=12000.0,
-        emanager_batch=40,
-        fault_duration_ms=16000.0,
-        fault_clients=48,
-        fault_checkpoint_ms=1500.0,
-        churn_duration_ms=30000.0,
-        churn_clients=40,
-        churn_mtbf_ms=3000.0,
-        churn_start_ms=5000.0,
-        churn_checkpoint_ms=1500.0,
-        churn_restart_ms=(1500.0, 4000.0),
-    ),
+    "quick": Scale(),
     "full": Scale(
-        game_duration_ms=2500.0,
-        game_warmup_ms=700.0,
-        game_clients_per_server=110,
-        tpcc_duration_ms=15000.0,
-        tpcc_warmup_ms=4000.0,
-        tpcc_clients_per_server=16,
-        server_counts=(2, 4, 8, 12, 16),
-        client_sweep=(8, 24, 64, 128, 256, 512),
-        elastic_duration_ms=60000.0,
-        migration_duration_ms=20000.0,
-        emanager_batch=120,
+        **_FULL_FIGURES,
         fault_duration_ms=40000.0,
         fault_clients=120,
         fault_checkpoint_ms=2000.0,
@@ -181,17 +168,7 @@ SCALES: Dict[str, Scale] = {
     # massive_* scenarios — a 1M-leaf population on a several-hundred
     # server fleet, bulk-registered through the columnar table.
     "massive": Scale(
-        game_duration_ms=2500.0,
-        game_warmup_ms=700.0,
-        game_clients_per_server=110,
-        tpcc_duration_ms=15000.0,
-        tpcc_warmup_ms=4000.0,
-        tpcc_clients_per_server=16,
-        server_counts=(2, 4, 8, 12, 16),
-        client_sweep=(8, 24, 64, 128, 256, 512),
-        elastic_duration_ms=60000.0,
-        migration_duration_ms=20000.0,
-        emanager_batch=120,
+        **_FULL_FIGURES,
         massive_contexts=1_000_000,
         massive_servers=256,
         massive_clients=768,
@@ -330,12 +307,10 @@ class ScenarioSpec:
       ``elastic`` (:class:`ElasticSpec` or ``None``);
     * **sweep** — ``seeds``, ``axes`` (extra named axes; a value of
       ``()`` pulls the scale default, e.g. ``("clients", ())``),
-      ``zip_axes`` (paired axes that advance *together* instead of
-      crossing — all must have equal lengths, validated fail-fast),
       ``points`` (explicit sweep points overriding the cross-product);
     * **output** — ``metrics`` (RunResult attributes), ``output`` (the
-      assembly/render shape), optional custom ``cell`` / ``assemble`` /
-      ``render`` dotted ``"module:function"`` hooks.
+      :data:`OUTPUTS` kind that assembles and renders the results),
+      optional custom ``cell`` dotted ``"module:function"`` body.
 
     Axis names (and ``--set`` keys) resolve against spec fields, then
     against the sub-spec fields (workload, faults, elastic, game, tpcc)
@@ -369,15 +344,12 @@ class ScenarioSpec:
     scale: str = "quick"
     seeds: Tuple[int, ...] = (0,)
     axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
-    zip_axes: Tuple[Tuple[str, Tuple[Any, ...]], ...] = ()
     points: Tuple[Tuple[Tuple[str, Any], ...], ...] = ()
     # Output.
     metrics: Tuple[str, ...] = ("throughput_per_s",)
     output: str = "curve"
     x_name: str = "servers"
     cell: str = ""
-    assemble: str = ""
-    render: str = ""
 
     def with_(self, **changes: Any) -> "ScenarioSpec":
         """A copy with ``changes`` applied (sugar over dataclasses.replace)."""
@@ -424,14 +396,6 @@ def get_scenario(name: str) -> ScenarioSpec:
 def list_scenarios() -> List[str]:
     """All registered scenario names, sorted."""
     return sorted(REGISTRY)
-
-
-def _resolve(dotted: str) -> Callable:
-    """Resolve a ``"module:function"`` hook (same contract as Cell.fn)."""
-    import importlib
-
-    module_name, _, fn_name = dotted.partition(":")
-    return getattr(importlib.import_module(module_name), fn_name)
 
 
 # ----------------------------------------------------------------------
@@ -499,67 +463,13 @@ def sweep_axes(spec: ScenarioSpec) -> List[Tuple[str, Tuple]]:
     return axes
 
 
-def zip_points(spec: ScenarioSpec) -> List[Tuple[Tuple[str, Any], ...]]:
-    """The spec's paired-axis positions: ``[((name, value), ...), ...]``.
-
-    Unlike ``spec.axes`` (which cross), the ``spec.zip_axes`` advance
-    *together*: position ``i`` takes value ``i`` of every zip axis, like
-    Python's ``zip``.  All zip axes must resolve to the same length
-    (empty values pull the scale default, exactly as cross axes do);
-    mismatched lengths or a name colliding with a cross axis fail fast
-    with :class:`ScenarioError` before any cell runs.  Returns ``[()]``
-    when no zip axes are declared (the neutral element for the
-    cross-product in :func:`_sweep_points`).
-    """
-    if not spec.zip_axes:
-        return [()]
-    if spec.points:
-        raise ScenarioError(
-            f"scenario {spec.name!r} declares both explicit points and "
-            f"zip_axes; explicit points already pin every axis value"
-        )
-    sizing = SCALES[spec.scale]
-    resolved = [
-        (name, _axis_values(name, tuple(values), sizing))
-        for name, values in spec.zip_axes
-    ]
-    cross_names = {name for name, _values in sweep_axes(spec)}
-    for name, _values in resolved:
-        if name in cross_names:
-            raise ScenarioError(
-                f"scenario {spec.name!r}: zip axis {name!r} collides with "
-                f"a cross-product axis of the same name"
-            )
-    lengths = {name: len(values) for name, values in resolved}
-    if len(set(lengths.values())) > 1:
-        raise ScenarioError(
-            f"scenario {spec.name!r}: zip axes must have equal lengths, got "
-            + ", ".join(f"{name}={n}" for name, n in lengths.items())
-        )
-    length = next(iter(lengths.values()))
-    return [
-        tuple((name, values[i]) for name, values in resolved)
-        for i in range(length)
-    ]
-
-
 def _sweep_points(spec: ScenarioSpec) -> List[Tuple[Tuple[str, Any], ...]]:
-    """All sweep points as ``((axis, value), ...)`` tuples, in cell order.
-
-    Cross-product axes expand first; each resulting point is then
-    extended with every zip position (zip values vary fastest).  With no
-    zip axes this is exactly the historical cross-product.
-    """
+    """All sweep points as ``((axis, value), ...)`` tuples, in cell order."""
     if spec.points:
-        if spec.zip_axes:
-            zip_points(spec)  # raises: points + zip_axes conflict
         return [tuple(point) for point in spec.points]
     points: List[Tuple[Tuple[str, Any], ...]] = [()]
     for name, values in sweep_axes(spec):
         points = [point + ((name, value),) for point in points for value in values]
-    zips = zip_points(spec)
-    if zips != [()]:
-        points = [point + zipped for point in points for zipped in zips]
     return points
 
 
@@ -576,14 +486,10 @@ def expand(spec: ScenarioSpec) -> List[Cell]:
     for point in _sweep_points(spec):
         key = tuple(value for _name, value in point)
         if spec.cell:
-            kwargs: Dict[str, Any] = {name: value for name, value in point}
-            kwargs["scale"] = spec.scale
-            kwargs["seed"] = spec.seeds[0]
+            kwargs = {**dict(point), "scale": spec.scale, "seed": spec.seeds[0]}
             cells.append(Cell(key, spec.cell, kwargs))
         else:
-            kwargs = {"spec": spec}
-            kwargs.update({name: value for name, value in point})
-            cells.append(Cell(key, f"{_SCN}:run_point", kwargs))
+            cells.append(Cell(key, f"{_SCN}:run_point", {"spec": spec, **dict(point)}))
     return cells
 
 
@@ -597,8 +503,8 @@ _SUBSPEC_FIELDS = ("workload", "tpcc_workload", "faults", "elastic", "game", "tp
 _TUPLE_FIELDS = {"systems", "seeds", "server_counts", "metrics"}
 
 #: Spec fields --set may not touch (identity/plumbing).  Axis *names*
-#: (cross or zip) are still settable — they replace that axis's values.
-_PROTECTED_FIELDS = {"name", "cell", "assemble", "render", "axes", "zip_axes", "points"}
+#: are still settable — they replace that axis's values.
+_PROTECTED_FIELDS = {"name", "cell", "axes", "points"}
 
 
 def _spec_field_names(obj: Any) -> Tuple[str, ...]:
@@ -670,11 +576,10 @@ def apply_overrides(
 ) -> ScenarioSpec:
     """Apply ``--set key=value`` strings to a spec, returning the new spec.
 
-    ``key`` may name a sweep axis — cross-product or zip — (replacing
-    its values), a spec field (``duration_ms``, ``systems``, ...), a
-    sub-spec field searched in order (``mtbf_ms`` → ``faults.mtbf_ms``),
-    or a dotted sub-spec path (``workload.think_ms``).  Unknown keys
-    raise :class:`ScenarioError`.
+    ``key`` may name a sweep axis (replacing its values), a spec field
+    (``duration_ms``, ``systems``, ...), a sub-spec field searched in
+    order (``mtbf_ms`` → ``faults.mtbf_ms``), or a dotted sub-spec path
+    (``workload.think_ms``).  Unknown keys raise :class:`ScenarioError`.
     """
     for raw in assignments:
         key, sep, text = raw.partition("=")
@@ -682,9 +587,7 @@ def apply_overrides(
         if not sep or not key:
             raise ScenarioError(f"--set expects key=value, got {raw!r}")
         value = _parse_value(text)
-        axis_names = [name for name, _values in spec.axes]
-        zip_names = [name for name, _values in spec.zip_axes]
-        if key in axis_names:
+        if key in dict(spec.axes):
             values = value if isinstance(value, tuple) else (value,)
             spec = replace(
                 spec,
@@ -693,26 +596,8 @@ def apply_overrides(
                     for name, old in spec.axes
                 ),
             )
-        elif key in zip_names:
-            # Replacing one zip axis's values; the equal-length check
-            # still runs (fail-fast) when the sweep expands.
-            values = value if isinstance(value, tuple) else (value,)
-            spec = replace(
-                spec,
-                zip_axes=tuple(
-                    (name, values if name == key else old)
-                    for name, old in spec.zip_axes
-                ),
-            )
         else:
             spec = _set_key(spec, key, value)
-    return spec
-
-
-def _fold_point(spec: ScenarioSpec, point: Dict[str, Any]) -> ScenarioSpec:
-    """Fold extra axis values (beyond system/n_servers/seed) into the spec."""
-    for key, value in point.items():
-        spec = _set_key(spec, key, value)
     return spec
 
 
@@ -734,18 +619,54 @@ def _tpcc_config(tpcc: TpccSpec, n_servers: int) -> TpccConfig:
     )
 
 
-def _geometric_weights(n_rooms: int) -> List[float]:
-    """Geometric hot/cold room skew (room 0 hottest).
-
-    Skewed write traffic is what incremental checkpoints exploit: cold
-    rooms' subtrees go unchanged between intervals and are skipped.
-    """
-    return [0.5**i for i in range(n_rooms)]
+def _n_clients(wl: WorkloadSpec, per_server: int, n_servers: int) -> int:
+    """The workload's population: absolute, else per server (or the preset's)."""
+    return wl.clients or (wl.clients_per_server or per_server) * n_servers
 
 
-def _metric_values(metrics: Tuple[str, ...], result: Any) -> Any:
-    values = tuple(getattr(result, name) for name in metrics)
-    return values[0] if len(values) == 1 else values
+# Shared wiring steps.  aeonbench's SetupClock patches the constructors
+# as this module's globals and replays them by the identity of
+# ``testbed.runtime``/``testbed.servers``: call them here, pass those.
+def _deploy_game(testbed, system: str, game: GameSpec, n_servers: int):
+    """Build the game on ``testbed``, with the room skew ``game`` declares."""
+    app = build_game(
+        testbed.runtime, _game_config(game, n_servers), system,
+        servers=testbed.servers,
+    )
+    if game.room_weights == "geometric":
+        # Geometric hot/cold room skew (room 0 hottest).  Skewed write
+        # traffic is what incremental checkpoints exploit: cold rooms'
+        # subtrees go unchanged between intervals and are skipped.
+        app.set_room_weights([0.5**i for i in range(len(app.rooms))])
+    return app
+
+
+def _deploy_tpcc(testbed, system: str, config: TpccConfig) -> TpccWorkload:
+    """Build TPC-C on ``testbed``; returns its per-system transaction mix."""
+    deployment = build_tpcc(
+        testbed.runtime,
+        config,
+        multi_ownership=(system == "aeon"),
+        servers=testbed.servers,
+        colocate=system in ("aeon", "aeon_so", "eventwave"),
+    )
+    return TpccWorkload(deployment, system)
+
+
+def _closed_loop(
+    testbed, sample_op: Callable, n_clients: int, duration_ms: float, wl: WorkloadSpec
+) -> ClosedLoopClients:
+    """Closed-loop clients shaped by ``wl``; the caller starts them."""
+    return ClosedLoopClients(
+        testbed.runtime,
+        sample_op,
+        n_clients=n_clients,
+        think_ms=wl.think_ms,
+        rng=testbed.rng,
+        stop_at_ms=duration_ms,
+        name_prefix=wl.name_prefix,
+        max_retries=wl.max_retries,
+    )
 
 
 def run_point(spec: ScenarioSpec, **point: Any) -> Any:
@@ -760,54 +681,48 @@ def run_point(spec: ScenarioSpec, **point: Any) -> Any:
     system = str(point.pop("system", spec.systems[0] if spec.systems else "aeon"))
     n_servers = int(point.pop("n_servers", 0) or spec.servers or 1)
     seed = int(point.pop("seed", spec.seeds[0]))
-    if point:
-        spec = _fold_point(spec, point)
-    sizing = SCALES[spec.scale]
-    built = build_scenario(spec, sizing, system, n_servers, seed)
-    return built()
-
-
-def build_scenario(
-    spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
-) -> Callable[[], Any]:
-    """Wire one sweep point from the spec; returns its runner thunk.
-
-    Dispatches on the spec's fault/elastic/app declarations to the
-    matching builder — each builds testbed + app + clients (+ fault or
-    elasticity machinery), runs the simulation and returns plain data.
-    """
+    for key, value in point.items():
+        spec = _set_key(spec, key, value)
     if spec.faults.kind != "none":
-        return lambda: _fault_run(spec, sizing, system, n_servers, seed)
-    if spec.elastic is not None:
-        return lambda: _elastic_run(spec, sizing, system, n_servers, seed)
-    if spec.app == "game":
-        return lambda: _game_point(spec, sizing, system, n_servers, seed)
-    if spec.app == "tpcc":
-        return lambda: _tpcc_point(spec, sizing, system, n_servers, seed)
-    if spec.app == "mixed":
-        return lambda: _mixed_run(spec, sizing, system, n_servers, seed)
-    raise ScenarioError(f"unknown app {spec.app!r}; pick game, tpcc or mixed")
+        driver = _fault_run
+    elif spec.elastic is not None:
+        driver = _elastic_run
+    elif spec.app in _APP_DRIVERS:
+        driver = _APP_DRIVERS[spec.app]
+    else:
+        raise ScenarioError(f"unknown app {spec.app!r}; pick game, tpcc or mixed")
+    return driver(spec, SCALES[spec.scale], system, n_servers, seed)
 
 
-def _game_point(
+def _closed_loop_point(
     spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
 ) -> Any:
-    """Closed-loop game run → metric value(s) (the fig5a/fig5b wiring)."""
+    """Closed-loop game or TPC-C run → metric value(s) (fig5a/b, fig6a/b)."""
     wl = spec.workload
-    n_clients = wl.clients or (
-        (wl.clients_per_server or sizing.game_clients_per_server) * n_servers
-    )
-    result, _tb, _app = run_game(
-        system,
-        n_servers,
-        n_clients=n_clients,
-        duration_ms=spec.duration_ms or sizing.game_duration_ms,
-        warmup_ms=spec.warmup_ms or sizing.game_warmup_ms,
-        think_ms=wl.think_ms,
-        config=_game_config(spec.game, n_servers),
-        seed=seed,
-    )
-    return _metric_values(spec.metrics, result)
+    if spec.app == "game":
+        result, _tb, _app = run_game(
+            system,
+            n_servers,
+            n_clients=_n_clients(wl, sizing.game_clients_per_server, n_servers),
+            duration_ms=spec.duration_ms or sizing.game_duration_ms,
+            warmup_ms=spec.warmup_ms or sizing.game_warmup_ms,
+            think_ms=wl.think_ms,
+            config=_game_config(spec.game, n_servers),
+            seed=seed,
+        )
+    else:
+        result = _tpcc_run(
+            system,
+            n_servers,
+            n_clients=_n_clients(wl, sizing.tpcc_clients_per_server, n_servers),
+            duration_ms=spec.duration_ms or sizing.tpcc_duration_ms,
+            warmup_ms=spec.warmup_ms or sizing.tpcc_warmup_ms,
+            seed=seed,
+            wl=wl,
+            config=_tpcc_config(spec.tpcc, n_servers),
+        )
+    values = tuple(getattr(result, name) for name in spec.metrics)
+    return values[0] if len(values) == 1 else values
 
 
 def _tpcc_run(
@@ -816,55 +731,20 @@ def _tpcc_run(
     n_clients: int,
     duration_ms: float,
     warmup_ms: float,
-    seed: int = 0,
-    think_ms: float = 5.0,
-    config: Optional[TpccConfig] = None,
+    seed: int,
+    wl: WorkloadSpec,
+    config: TpccConfig,
+    costs: Any = DEFAULT_COSTS,
 ):
     """Build + drive + measure one TPC-C deployment (shared cell core)."""
-    testbed = make_testbed(system, n_servers, seed=seed)
-    config = config or TpccConfig(districts=n_servers, customers_per_district=10)
-    deployment = build_tpcc(
-        testbed.runtime,
-        config,
-        multi_ownership=(system == "aeon"),
-        servers=testbed.servers,
-        colocate=system in ("aeon", "aeon_so", "eventwave"),
-    )
-    workload = TpccWorkload(deployment, system)
-    clients = ClosedLoopClients(
-        testbed.runtime,
-        workload.sample_op,
-        n_clients=n_clients,
-        think_ms=think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration_ms,
-    )
+    testbed = make_testbed(system, n_servers, costs=costs, seed=seed)
+    workload = _deploy_tpcc(testbed, system, config)
+    clients = _closed_loop(testbed, workload.sample_op, n_clients, duration_ms, wl)
     clients.start()
     testbed.sim.run(until=duration_ms + 15000.0)
     result = measure(system, testbed, n_clients, warmup_ms, duration_ms)
     result.errors = len(clients.errors)
-    return result, testbed, deployment
-
-
-def _tpcc_point(
-    spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
-) -> Any:
-    """Closed-loop TPC-C run → metric value(s) (the fig6a/fig6b wiring)."""
-    wl = spec.workload
-    n_clients = wl.clients or (
-        (wl.clients_per_server or sizing.tpcc_clients_per_server) * n_servers
-    )
-    result, _tb, _dep = _tpcc_run(
-        system,
-        n_servers,
-        n_clients=n_clients,
-        duration_ms=spec.duration_ms or sizing.tpcc_duration_ms,
-        warmup_ms=spec.warmup_ms or sizing.tpcc_warmup_ms,
-        seed=seed,
-        think_ms=wl.think_ms,
-        config=_tpcc_config(spec.tpcc, n_servers),
-    )
-    return _metric_values(spec.metrics, result)
+    return result
 
 
 def _fault_run(
@@ -894,10 +774,7 @@ def _fault_run(
     )
     testbed = make_testbed(system, n_servers, seed=seed)
     runtime = testbed.runtime
-    config = _game_config(spec.game, n_servers)
-    app = build_game(runtime, config, system, servers=testbed.servers)
-    if spec.game.room_weights == "geometric":
-        app.set_room_weights(_geometric_weights(len(app.rooms)))
+    app = _deploy_game(testbed, system, spec.game, n_servers)
 
     storage = CloudStorage(testbed.sim)
     manager = EManager(runtime, storage, None, M3_LARGE, max_concurrent_migrations=8)
@@ -978,17 +855,10 @@ def _fault_run(
     )
     injector.start()
 
-    wl = spec.workload
-    clients = ClosedLoopClients(
-        runtime,
-        app.sample_op,
-        n_clients=wl.clients
-        or (sizing.churn_clients if churn else sizing.fault_clients),
-        think_ms=wl.think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-        max_retries=wl.max_retries,
+    n_clients = spec.workload.clients or (
+        sizing.churn_clients if churn else sizing.fault_clients
     )
+    clients = _closed_loop(testbed, app.sample_op, n_clients, duration, spec.workload)
     clients.start()
     testbed.sim.run(until=duration + 3000.0)
     detector.stop()
@@ -1000,196 +870,186 @@ def _fault_run(
     p99 = runtime.latency.windowed_percentile(
         99.0, f.window_ms, duration, exclude_tag=FAILED_TAG
     )
-    detections = [
-        {
-            "server": d.server,
-            "detected_at_ms": d.detected_at_ms,
-            "latency_ms": d.latency_ms,
-        }
-        for d in detector.detections
-    ]
-    if partition:
-        return {
-            "system": system,
-            "duration_ms": duration,
-            "partition_at_ms": partition_at,
-            "partition_heal_ms": partition_at + partition_len,
-            "victim": victim,
-            "fencing": f.fencing,
-            "goodput": goodput.points,
-            "p99": p99.points,
-            "events_failed": runtime.events_failed,
-            "client_errors": len(clients.errors),
-            "client_retries": clients.retries,
-            "detections": detections,
-            "false_detections": manager.false_detections,
-            "lost_updates": runtime.writes_rolled_back,
-            "fenced_writes": (
-                manager.fencing.rejected if manager.fencing is not None else 0
-            ),
-            "flush_restores": manager.flush_restores,
-            "contexts_recovered": manager.contexts_recovered,
-            "recoveries": manager.recovery_log,
-            "checkpoints_taken": manager.checkpoints_taken,
-            "fault_log": injector.log,
-        }
-    if not churn:
-        result = {
-            "system": system,
-            "duration_ms": duration,
-            "crash_at_ms": crash_at,
-            "restart_at_ms": crash_at + restart_after,
-            "victim": victim,
-            "goodput": goodput.points,
-            "p99": p99.points,
-            "events_failed": runtime.events_failed,
-            "client_errors": len(clients.errors),
-            "client_retries": clients.retries,
-            "detections": detections,
-            "recoveries": manager.recovery_log,
-            "contexts_recovered": manager.contexts_recovered,
-            "checkpoints_taken": manager.checkpoints_taken,
-            "fault_log": injector.log,
-        }
-        if honest:
-            # Conditional: legacy fig10 payloads stay byte-identical.
-            result["lost_work"] = runtime.writes_rolled_back
-        return result
-    slo = availability_slo(
-        goodput.points,
-        p99.points,
-        baseline_from_ms=churn_start * 0.3,
-        baseline_to_ms=churn_start,
-        eval_from_ms=churn_start,
-        eval_to_ms=duration,
-        # A window is available at >=85% of fault-free goodput with p99
-        # within 3x of baseline (20 ms floor): strict enough that the
-        # detection+recovery gap after each crash shows up, loose enough
-        # that steady-state noise does not.
-        goodput_fraction=f.goodput_fraction,
-        p99_multiplier=f.p99_multiplier,
-        p99_floor_ms=f.p99_floor_ms,
-        # Lost *work* (acked writes rolled back at crash/recovery) rides
-        # along only under honest semantics; None keeps the legacy fig11
-        # payload byte-identical.
-        lost_work=(runtime.writes_rolled_back if honest else None),
-    )
-    detect_latencies = [
-        d.latency_ms for d in detector.detections if d.latency_ms is not None
-    ]
-    return {
+    run = {
         "system": system,
-        "checkpoint_mode": f.checkpoint_mode,
         "duration_ms": duration,
-        "churn_start_ms": churn_start,
-        "crashes": len(schedule),
         "goodput": goodput.points,
         "p99": p99.points,
-        "slo": slo.as_dict(),
-        "detections": len(detector.detections),
-        "mean_detection_latency_ms": mean(detect_latencies),
-        "redeclarations": detector.redeclarations,
-        "recoveries": manager.recoveries,
-        "contexts_recovered": manager.contexts_recovered,
-        "contexts_restored_without_checkpoint": (
-            manager.contexts_restored_without_checkpoint
-        ),
-        "cache_invalidations": manager.cache_invalidations,
         "events_failed": runtime.events_failed,
         "client_errors": len(clients.errors),
         "client_retries": clients.retries,
+        "contexts_recovered": manager.contexts_recovered,
         "checkpoints_taken": manager.checkpoints_taken,
-        "checkpoints_skipped": manager.checkpoints_skipped,
-        "checkpoint_bytes_written": manager.checkpoint_bytes_written,
-        "recovery_log": manager.recovery_log,
         "fault_log": injector.log,
     }
+    if churn:
+        slo = availability_slo(
+            goodput.points,
+            p99.points,
+            baseline_from_ms=churn_start * 0.3,
+            baseline_to_ms=churn_start,
+            eval_from_ms=churn_start,
+            eval_to_ms=duration,
+            # A window is available at >=85% of fault-free goodput with p99
+            # within 3x of baseline (20 ms floor): strict enough that the
+            # detection+recovery gap after each crash shows up, loose enough
+            # that steady-state noise does not.
+            goodput_fraction=f.goodput_fraction,
+            p99_multiplier=f.p99_multiplier,
+            p99_floor_ms=f.p99_floor_ms,
+            # Lost *work* (acked writes rolled back at crash/recovery) rides
+            # along only under honest semantics; None keeps the legacy fig11
+            # payload byte-identical.
+            lost_work=(runtime.writes_rolled_back if honest else None),
+        )
+        run.update(
+            checkpoint_mode=f.checkpoint_mode,
+            churn_start_ms=churn_start,
+            crashes=len(schedule),
+            slo=slo.as_dict(),
+            detections=len(detector.detections),
+            mean_detection_latency_ms=mean(
+                [d.latency_ms for d in detector.detections if d.latency_ms is not None]
+            ),
+            redeclarations=detector.redeclarations,
+            recoveries=manager.recoveries,
+            contexts_restored_without_checkpoint=(
+                manager.contexts_restored_without_checkpoint
+            ),
+            cache_invalidations=manager.cache_invalidations,
+            checkpoints_skipped=manager.checkpoints_skipped,
+            checkpoint_bytes_written=manager.checkpoint_bytes_written,
+            recovery_log=manager.recovery_log,
+        )
+        return run
+    run.update(
+        victim=victim,
+        detections=[
+            {
+                "server": d.server,
+                "detected_at_ms": d.detected_at_ms,
+                "latency_ms": d.latency_ms,
+            }
+            for d in detector.detections
+        ],
+        recoveries=manager.recovery_log,
+    )
+    if partition:
+        run.update(
+            partition_at_ms=partition_at,
+            partition_heal_ms=partition_at + partition_len,
+            fencing=f.fencing,
+            false_detections=manager.false_detections,
+            lost_updates=runtime.writes_rolled_back,
+            fenced_writes=(
+                manager.fencing.rejected if manager.fencing is not None else 0
+            ),
+            flush_restores=manager.flush_restores,
+        )
+        return run
+    run.update(crash_at_ms=crash_at, restart_at_ms=crash_at + restart_after)
+    if honest:
+        # Conditional: legacy fig10 payloads stay byte-identical.
+        run["lost_work"] = runtime.writes_rolled_back
+    return run
 
 
 def _ramp_profile(wl: WorkloadSpec, duration_ms: float) -> RampProfile:
+    shape = dict(
+        machines=wl.machines,
+        min_per_machine=wl.min_per_machine,
+        max_per_machine=wl.max_per_machine,
+    )
     if wl.profile == "diurnal":
-        return RampProfile.diurnal(
-            duration_ms,
-            machines=wl.machines,
-            min_per_machine=wl.min_per_machine,
-            max_per_machine=wl.max_per_machine,
-            cycles=wl.cycles,
-        )
+        return RampProfile.diurnal(duration_ms, cycles=wl.cycles, **shape)
     if wl.profile == "normal_peak":
-        return RampProfile.normal_peak(
-            duration_ms,
-            machines=wl.machines,
-            min_per_machine=wl.min_per_machine,
-            max_per_machine=wl.max_per_machine,
-        )
+        return RampProfile.normal_peak(duration_ms, **shape)
     raise ScenarioError(f"unknown ramp profile {wl.profile!r}")
 
 
-def _elastic_run(
-    spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
-) -> Dict[str, object]:
-    """Elastic game run: eManager + SLA policy + profile-following load.
+def _elastic_game(
+    spec: ScenarioSpec,
+    sizing: Scale,
+    system: str,
+    n_servers: int,
+    seed: int,
+    label: str,
+    managed: bool = True,
+):
+    """Game + eManager (when ``managed``) + ramp clients, run to the drain.
 
-    The generic counterpart of the fig7 ``_elastic_game_run`` cell for
-    spec-declared elastic scenarios (e.g. the diurnal wave): the fleet
-    starts at ``n_servers`` and the eManager grows/shrinks it against
-    ``spec.elastic``'s SLA policy while clients follow the workload's
-    ramp profile.
+    The fleet starts at ``n_servers``; with the eManager it grows and
+    shrinks against ``spec.elastic``'s SLA policy while clients follow
+    the workload's ramp profile.  Returns ``(run, manager, profile)``:
+    the run dict holds the latency/fleet/client series and the SLA
+    report scored under ``label``.
     """
     e = spec.elastic
-    wl = spec.workload
     duration = spec.duration_ms or sizing.elastic_duration_ms
     itype = INSTANCE_TYPES[spec.instance] if spec.instance else M3_LARGE
     testbed = make_testbed(system, n_servers, instance_type=itype, seed=seed)
     testbed.cluster.boot_delay_ms = e.boot_delay_ms
-    config = _game_config(spec.game, n_servers)
-    app = build_game(testbed.runtime, config, system, servers=testbed.servers)
-    if spec.game.room_weights == "geometric":
-        app.set_room_weights(_geometric_weights(len(app.rooms)))
-    storage = CloudStorage(testbed.sim)
-    policy = SLAPolicy(
-        sla_ms=e.sla_ms,
-        scale_out_step=e.scale_out_step,
-        min_servers=e.min_servers,
-        max_servers=e.max_servers,
-        scale_in_fraction=e.scale_in_fraction,
-        headroom=e.headroom,
-    )
-    manager = EManager(
-        testbed.runtime,
-        storage,
-        policy,
-        itype,
-        report_interval_ms=e.report_interval_ms,
-        max_concurrent_migrations=e.max_concurrent_migrations,
-    )
-    manager.start()
-    profile = _ramp_profile(wl, duration)
+    app = _deploy_game(testbed, system, spec.game, n_servers)
+    manager = None
+    if managed:
+        storage = CloudStorage(testbed.sim)
+        policy = SLAPolicy(
+            sla_ms=e.sla_ms,
+            scale_out_step=e.scale_out_step,
+            min_servers=e.min_servers,
+            max_servers=e.max_servers,
+            scale_in_fraction=e.scale_in_fraction,
+            headroom=e.headroom,
+        )
+        manager = EManager(
+            testbed.runtime,
+            storage,
+            policy,
+            itype,
+            report_interval_ms=e.report_interval_ms,
+            max_concurrent_migrations=e.max_concurrent_migrations,
+        )
+        manager.start()
+    profile = _ramp_profile(spec.workload, duration)
     clients = DynamicClients(
         testbed.runtime,
         app.sample_op,
         profile,
-        think_ms=wl.think_ms,
+        think_ms=spec.workload.think_ms,
         rng=testbed.rng,
         stop_at_ms=duration,
     )
     clients.start()
     testbed.sim.run(until=duration + (spec.drain_ms or 5000.0))
-    manager.stop()
-    latency_series = testbed.runtime.latency.windowed_mean(1000.0, duration)
-    server_series = manager.server_count_series
-    avg_servers = server_series.mean_value()
-    report = sla_report(
-        spec.name, testbed.runtime.latency, e.sla_ms, avg_servers, since_ms=0.0
+    if manager is None:
+        server_series = None
+        avg_servers = float(len(testbed.cluster.alive_servers()))
+    else:
+        manager.stop()
+        server_series = manager.server_count_series
+        avg_servers = server_series.mean_value()
+    latency = testbed.runtime.latency
+    run = {
+        "latency_series": latency.windowed_mean(1000.0, duration).points,
+        "server_series": server_series.points if server_series else None,
+        "client_series": clients.active_series,
+        "sla": sla_report(label, latency, e.sla_ms, avg_servers, since_ms=0.0),
+    }
+    return run, manager, profile
+
+
+def _elastic_run(
+    spec: ScenarioSpec, sizing: Scale, system: str, n_servers: int, seed: int
+) -> Dict[str, object]:
+    """Elastic game run for spec-declared elastic scenarios (e.g. diurnal)."""
+    run, manager, profile = _elastic_game(
+        spec, sizing, system, n_servers, seed, label=spec.name
     )
     return {
         "system": system,
-        "latency_series": latency_series.points,
-        "server_series": server_series.points,
-        "client_series": clients.active_series,
-        "sla": report,
-        "avg_servers": avg_servers,
-        "peak_servers": server_series.max_value(),
+        **run,
+        "avg_servers": run["sla"].avg_servers,
+        "peak_servers": manager.server_count_series.max_value(),
         "peak_clients": profile.peak(),
     }
 
@@ -1226,48 +1086,19 @@ def _mixed_run(
     duration = spec.duration_ms or sizing.tpcc_duration_ms
     warmup = spec.warmup_ms or sizing.tpcc_warmup_ms
     testbed = make_testbed(system, n_servers, seed=seed)
-    game = build_game(
-        testbed.runtime, _game_config(spec.game, n_servers), system,
-        servers=testbed.servers,
-    )
-    deployment = build_tpcc(
-        testbed.runtime,
-        _tpcc_config(spec.tpcc, n_servers),
-        multi_ownership=(system == "aeon"),
-        servers=testbed.servers,
-        colocate=system in ("aeon", "aeon_so", "eventwave"),
-    )
-    workload = TpccWorkload(deployment, system)
-    n_game = wl_game.clients or (
-        (wl_game.clients_per_server or sizing.game_clients_per_server) * n_servers
-    )
-    n_tpcc = wl_tpcc.clients or (
-        (wl_tpcc.clients_per_server or sizing.tpcc_clients_per_server) * n_servers
-    )
-    game_clients = ClosedLoopClients(
-        testbed.runtime,
-        game.sample_op,
-        n_clients=n_game,
-        think_ms=wl_game.think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-        name_prefix=wl_game.name_prefix,
-    )
-    tpcc_clients = ClosedLoopClients(
-        testbed.runtime,
-        workload.sample_op,
-        n_clients=n_tpcc,
-        think_ms=wl_tpcc.think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-        name_prefix=wl_tpcc.name_prefix,
-    )
+    game = _deploy_game(testbed, system, spec.game, n_servers)
+    workload = _deploy_tpcc(testbed, system, _tpcc_config(spec.tpcc, n_servers))
+    n_game = _n_clients(wl_game, sizing.game_clients_per_server, n_servers)
+    n_tpcc = _n_clients(wl_tpcc, sizing.tpcc_clients_per_server, n_servers)
+    game_clients = _closed_loop(testbed, game.sample_op, n_game, duration, wl_game)
+    tpcc_clients = _closed_loop(testbed, workload.sample_op, n_tpcc, duration, wl_tpcc)
     game_clients.start()
     tpcc_clients.start()
     testbed.sim.run(until=duration + (spec.drain_ms or 15000.0))
     combined = measure(system, testbed, n_game + n_tpcc, warmup, duration)
 
     window_s = (duration - warmup) / 1000.0
+    summary = ("completed", "throughput_per_s", "mean_latency_ms", "p99_latency_ms")
 
     def split(tags: Tuple[str, ...]) -> Dict[str, float]:
         lats = testbed.runtime.latency.latencies_between(warmup, duration, tags=tags)
@@ -1286,94 +1117,62 @@ def _mixed_run(
         "tpcc_clients": n_tpcc,
         "game": split(GAME_TAGS),
         "tpcc": split(TPCC_TAGS),
-        "combined": {
-            "completed": combined.completed,
-            "throughput_per_s": combined.throughput_per_s,
-            "mean_latency_ms": combined.mean_latency_ms,
-            "p99_latency_ms": combined.p99_latency_ms,
-        },
+        "combined": {name: getattr(combined, name) for name in summary},
         "game_errors": len(game_clients.errors),
         "tpcc_errors": len(tpcc_clients.errors),
     }
+
+
+#: The closed-loop cell drivers of generic scenarios, by ``spec.app``.
+_APP_DRIVERS = {"game": _closed_loop_point, "tpcc": _closed_loop_point, "mixed": _mixed_run}
 
 
 # ----------------------------------------------------------------------
 # Custom cell bodies (the figures whose wiring predates — and outlives —
 # the generic builder: elasticity setups, migration pumps, ablations)
 # ----------------------------------------------------------------------
-def _elastic_game_run(
-    setup: str,
-    scale: str,
-    seed: int = 0,
-    sla_ms: float = 10.0,
-) -> Dict[str, object]:
-    """One §6.2 run: ``setup`` is 'elastic' or a fixed server count."""
-    sizing = SCALES[scale]
-    duration = sizing.elastic_duration_ms
-    elastic = setup == "elastic"
-    start_servers = 8 if elastic else int(setup)
-    testbed = make_testbed("aeon", start_servers, instance_type=M1_SMALL, seed=seed)
-    testbed.cluster.boot_delay_ms = 1500.0
+#: The §6.2 deployment of fig7/table1: ``setup`` picks the fleet size and
+#: whether the eManager runs (the same wiring ``diurnal`` declares).
+_FIG7_DEPLOYMENT = ScenarioSpec(
+    name="fig7",
+    title="",
+    instance="m1.small",
     # 32 rooms so the fleet can usefully grow beyond 16 servers.
-    config = GameConfig(rooms=32, players_per_room=4, shared_items_per_room=2)
-    app = build_game(testbed.runtime, config, "aeon", servers=testbed.servers)
-    manager = None
-    if elastic:
-        storage = CloudStorage(testbed.sim)
-        policy = SLAPolicy(sla_ms=sla_ms, scale_out_step=4, min_servers=4,
-                           max_servers=40, scale_in_fraction=0.25,
-                           headroom=0.45)
-        manager = EManager(
-            testbed.runtime, storage, policy, M1_SMALL,
-            report_interval_ms=1000.0, max_concurrent_migrations=8,
-        )
-        manager.start()
-    profile = RampProfile.normal_peak(
-        duration, machines=8, min_per_machine=1, max_per_machine=16
-    )
-    clients = DynamicClients(
-        testbed.runtime,
-        app.sample_op,
-        profile,
-        think_ms=12.0,
-        rng=testbed.rng,
-        stop_at_ms=duration,
-    )
-    clients.start()
-    testbed.sim.run(until=duration + 5000.0)
-    if manager is not None:
-        manager.stop()
-    # Latency time series (1 s buckets) and server-count series.
-    latency_series = testbed.runtime.latency.windowed_mean(1000.0, duration)
-    if manager is not None:
-        server_series = manager.server_count_series
-        avg_servers = server_series.mean_value()
-    else:
-        count = len(testbed.cluster.alive_servers())
-        server_series = None
-        avg_servers = float(count)
-    report = sla_report(
-        setup, testbed.runtime.latency, sla_ms, avg_servers, since_ms=0.0
-    )
-    return {
-        "setup": setup,
-        "latency_series": latency_series.points,
-        "server_series": server_series.points if server_series else None,
-        "client_series": clients.active_series,
-        "sla": report,
-    }
+    game=GameSpec(rooms=32, players_per_room=4, shared_items_per_room=2),
+    workload=WorkloadSpec(kind="ramp", think_ms=12.0),
+    elastic=ElasticSpec(),
+)
+
+
+def _migration_coordinator(testbed, itype) -> MigrationCoordinator:
+    """A migration coordinator on its own ``~emanager`` host of ``itype``."""
+    storage = CloudStorage(testbed.sim)
+    host = Server(testbed.sim, "~emanager", itype)
+    testbed.network.register(host.name, host.mailbox, itype)
+    return MigrationCoordinator(testbed.runtime, storage, host)
 
 
 def _elastic_cell(setup: str, rep: int, scale: str, seed: int) -> Dict[str, object]:
     """One (setup, repetition) sub-cell of fig7/table1.
 
-    ``rep`` shards a setup into independent seed replicas (``seed +
-    rep``) so ``--set rep=0,1,2`` splits the two longest-running
-    experiments into cells ``--jobs`` can actually parallelise.  The
-    default single ``rep=0`` reproduces the historical monolithic cell
-    byte for byte.
+    ``setup`` is 'elastic' (8 servers to start, eManager on) or a fixed
+    server count.  ``rep`` shards a setup into independent seed replicas
+    (``seed + rep``) so ``--set rep=0,1,2`` splits the two
+    longest-running experiments into cells ``--jobs`` can actually
+    parallelise.  The default single ``rep=0`` reproduces the historical
+    monolithic cell byte for byte.
     """
-    return _elastic_game_run(setup, scale, seed + rep)
+    elastic = setup == "elastic"
+    run, _manager, _profile = _elastic_game(
+        _FIG7_DEPLOYMENT,
+        SCALES[scale],
+        "aeon",
+        8 if elastic else int(setup),
+        seed + rep,
+        label=setup,
+        managed=elastic,
+    )
+    return {"setup": setup, **run}
 
 
 def _fig8_cell(
@@ -1383,19 +1182,12 @@ def _fig8_cell(
     sizing = SCALES[scale]
     duration = sizing.migration_duration_ms
     testbed = make_testbed("aeon", 20, instance_type=M1_SMALL, seed=seed)
-    config = GameConfig(rooms=20, players_per_room=4, shared_items_per_room=2)
-    app = build_game(testbed.runtime, config, "aeon", servers=testbed.servers)
-    storage = CloudStorage(testbed.sim)
-    host = Server(testbed.sim, "~emanager", M3_LARGE)
-    testbed.network.register(host.name, host.mailbox, M3_LARGE)
-    coordinator = MigrationCoordinator(testbed.runtime, storage, host)
-    clients = ClosedLoopClients(
-        testbed.runtime,
-        app.sample_op,
-        n_clients=120,
-        think_ms=10.0,
-        rng=testbed.rng,
-        stop_at_ms=duration,
+    app = _deploy_game(
+        testbed, "aeon", GameSpec(rooms=20, players_per_room=4, shared_items_per_room=2), 20
+    )
+    coordinator = _migration_coordinator(testbed, M3_LARGE)
+    clients = _closed_loop(
+        testbed, app.sample_op, 120, duration, WorkloadSpec(think_ms=10.0)
     )
     clients.start()
 
@@ -1413,14 +1205,12 @@ def _fig8_cell(
 
     testbed.sim.process(migrate_rooms())
     testbed.sim.run(until=duration + 5000.0)
-    window = testbed.runtime.throughput.windowed_rate(250.0, duration)
-    return window.points
+    return testbed.runtime.throughput.windowed_rate(250.0, duration).points
 
 
 def _fig9_cell(itype_name: str, size_bytes: int, scale: str, seed: int) -> float:
     """One fig9 grid point: eManager migration throughput (contexts/s)."""
-    sizing = SCALES[scale]
-    batch = sizing.emanager_batch
+    batch = SCALES[scale].emanager_batch
     itype = INSTANCE_TYPES[itype_name]
     testbed = make_testbed("aeon", 2, instance_type=itype, seed=seed)
 
@@ -1428,18 +1218,13 @@ def _fig9_cell(itype_name: str, size_bytes: int, scale: str, seed: int) -> float
         pass
 
     Payload.size_bytes = size_bytes
-    refs = []
-    for i in range(batch):
-        refs.append(
-            testbed.runtime.create_context(
-                Payload, server=testbed.servers[0],
-                name=f"payload-{i}", args=(i,),
-            )
+    refs = [
+        testbed.runtime.create_context(
+            Payload, server=testbed.servers[0], name=f"payload-{i}", args=(i,)
         )
-    storage = CloudStorage(testbed.sim)
-    host = Server(testbed.sim, "~emanager", itype)
-    testbed.network.register(host.name, host.mailbox, itype)
-    coordinator = MigrationCoordinator(testbed.runtime, storage, host)
+        for i in range(batch)
+    ]
+    coordinator = _migration_coordinator(testbed, itype)
 
     def pump():
         window = 4  # concurrent migrations in flight
@@ -1479,13 +1264,9 @@ def _massive_run(flavor: str, scale: str, seed: int) -> Dict[str, object]:
     testbed.runtime.latency = LatencyRecorder(sample_threshold=65536)
     config = MassiveConfig(contexts=sizing.massive_contexts, flavor=flavor)
     app = build_massive(testbed.runtime, config, testbed.servers)
-    clients = ClosedLoopClients(
-        testbed.runtime,
-        app.sample_op,
-        n_clients=sizing.massive_clients,
-        think_ms=sizing.massive_think_ms,
-        rng=testbed.rng,
-        stop_at_ms=duration,
+    clients = _closed_loop(
+        testbed, app.sample_op, sizing.massive_clients, duration,
+        WorkloadSpec(think_ms=sizing.massive_think_ms),
     )
     clients.start()
     testbed.sim.run(until=duration + 2000.0)
@@ -1523,23 +1304,17 @@ def _massive_tpcc_cell(rep: int, scale: str, seed: int) -> Dict[str, object]:
 def _ablation_cell(early_release: bool, scale: str, seed: int) -> float:
     """One ablation run: TPC-C throughput with the given release mode."""
     sizing = SCALES[scale]
-    costs = DEFAULT_COSTS.with_(early_release=early_release)
-    testbed = make_testbed("aeon_so", 4, seed=seed, costs=costs)
-    config = TpccConfig(districts=4, customers_per_district=10)
-    deployment = build_tpcc(
-        testbed.runtime, config, False, servers=testbed.servers
-    )
-    workload = TpccWorkload(deployment, "aeon_so")
-    clients = ClosedLoopClients(
-        testbed.runtime, workload.sample_op,
+    result = _tpcc_run(
+        "aeon_so",
+        4,
         n_clients=sizing.tpcc_clients_per_server * 4,
-        think_ms=5.0, rng=testbed.rng,
-        stop_at_ms=sizing.tpcc_duration_ms,
+        duration_ms=sizing.tpcc_duration_ms,
+        warmup_ms=sizing.tpcc_warmup_ms,
+        seed=seed,
+        wl=WorkloadSpec(think_ms=5.0),
+        config=TpccConfig(districts=4, customers_per_district=10),
+        costs=DEFAULT_COSTS.with_(early_release=early_release),
     )
-    clients.start()
-    testbed.sim.run(until=sizing.tpcc_duration_ms + 15000.0)
-    result = measure("aeon_so", testbed, clients.n_clients,
-                     sizing.tpcc_warmup_ms, sizing.tpcc_duration_ms)
     return result.throughput_per_s
 
 
@@ -1554,17 +1329,10 @@ def _assemble_curve(spec, cells, results):
     """
     curves: Dict[str, List[Tuple[Any, Any]]] = {s: [] for s in spec.systems}
     grouped: Dict[Tuple, List[Any]] = {}
-    order: List[Tuple] = []
     for cell, result in zip(cells, results):
-        group = cell.key[:2]
-        if group not in grouped:
-            grouped[group] = []
-            order.append(group)
-        grouped[group].append(result.value)
-    for system, x in order:
-        values = grouped[(system, x)]
-        value = values[0] if len(values) == 1 else mean(values)
-        curves[system].append((x, value))
+        grouped.setdefault(cell.key[:2], []).append(result.value)
+    for (system, x), values in grouped.items():
+        curves[system].append((x, values[0] if len(values) == 1 else mean(values)))
     return curves
 
 
@@ -1576,33 +1344,13 @@ def _assemble_xy(spec, cells, results):
     return curves
 
 
-def _assemble_by_first_key(spec, cells, results):
-    """``{key[0]: run}`` in cell order (fig10-style per-system runs)."""
-    return {
-        cell.key[0]: result.value for cell, result in zip(cells, results)
-    }
+def _labelled(label: Callable[[Tuple], Any] = lambda key: key[0]) -> Callable:
+    """An assembler of ``{label(cell.key): value}`` in cell order."""
 
+    def assemble(spec, cells, results):
+        return {label(cell.key): result.value for cell, result in zip(cells, results)}
 
-_GENERIC_ASSEMBLERS = {
-    "curve": _assemble_curve,
-    "xy": _assemble_xy,
-    "runs": _assemble_by_first_key,
-    "elastic": _assemble_by_first_key,
-    "mixed": _assemble_by_first_key,
-}
-
-
-def _rep_groups(spec, cells, results):
-    """Group (setup, rep) elastic sub-cell results by setup, in axis order."""
-    by_setup: Dict[str, List[Any]] = {}
-    order: List[str] = []
-    for cell, result in zip(cells, results):
-        setup = cell.key[0]
-        if setup not in order:
-            order.append(setup)
-            by_setup[setup] = []
-        by_setup[setup].append(result.value)
-    return order, by_setup
+    return assemble
 
 
 def _aggregate_elastic_runs(runs: List[Dict[str, object]]) -> Dict[str, object]:
@@ -1638,79 +1386,56 @@ def _aggregate_elastic_runs(runs: List[Dict[str, object]]) -> Dict[str, object]:
 
 
 def _assemble_fig7(spec, cells, results):
-    """``{setup: run}`` — multi-rep setups aggregate via the rep shards."""
-    order, by_setup = _rep_groups(spec, cells, results)
-    return {setup: _aggregate_elastic_runs(by_setup[setup]) for setup in order}
+    """``{setup: run}`` — (setup, rep) sub-cells grouped in axis order,
+    multi-rep setups averaged."""
+    by_setup: Dict[str, List[Any]] = {}
+    for cell, result in zip(cells, results):
+        by_setup.setdefault(cell.key[0], []).append(result.value)
+    return {setup: _aggregate_elastic_runs(runs) for setup, runs in by_setup.items()}
+
+
+def _sla_field(sla, name):
+    """Read an SLA field from a SlaReport, its JSON form or a multi-rep dict."""
+    if not isinstance(sla, dict):
+        return getattr(sla, name)
+    if name == "violation_pct" and name not in sla:
+        # A property of SlaReport, so dataclasses.asdict (--json) drops it.
+        return SlaReport(**sla).violation_pct
+    return sla[name]
 
 
 def _assemble_table1(spec, cells, results):
-    """Table 1 rows: one per setup, averaged across rep shards."""
-    order, by_setup = _rep_groups(spec, cells, results)
-    rows = []
-    for setup in order:
-        runs = by_setup[setup]
-        if len(runs) == 1:
-            report = runs[0]["sla"]
-            violation_pct = report.violation_pct
-            avg_servers = report.avg_servers
-            requests = report.total_requests
-        else:
-            reports = [run["sla"] for run in runs]
-            violation_pct = mean([r.violation_pct for r in reports])
-            avg_servers = mean([r.avg_servers for r in reports])
-            requests = sum(r.total_requests for r in reports)
-        rows.append(
-            {
-                "setup": f"{setup}-server" if setup != "elastic" else "Elastic",
-                "violation_pct": violation_pct,
-                "avg_servers": avg_servers,
-                "requests": requests,
-            }
-        )
-    return rows
-
-
-def _assemble_fig8(spec, cells, results):
-    return {
-        f"{cell.key[0]} contexts": result.value
-        for cell, result in zip(cells, results)
-    }
-
-
-_FIG9_SIZE_LABELS = {1024: "1KB", 1_000_000: "1MB"}
+    """Table 1 rows: one per setup, from fig7's rep-averaged runs."""
+    return [
+        {
+            "setup": f"{setup}-server" if setup != "elastic" else "Elastic",
+            "violation_pct": _sla_field(run["sla"], "violation_pct"),
+            "avg_servers": _sla_field(run["sla"], "avg_servers"),
+            "requests": _sla_field(run["sla"], "total_requests"),
+        }
+        for setup, run in _assemble_fig7(spec, cells, results).items()
+    ]
 
 
 def _assemble_fig9(spec, cells, results):
     out: Dict[str, Dict[str, float]] = {}
     for cell, result in zip(cells, results):
         itype, size_bytes = cell.key[0], cell.key[1]
-        label = _FIG9_SIZE_LABELS.get(size_bytes, f"{size_bytes}B")
+        label = {1024: "1KB", 1_000_000: "1MB"}.get(size_bytes, f"{size_bytes}B")
         out.setdefault(itype, {})[label] = result.value
     return out
 
 
 def _assemble_fig11(spec, cells, results):
+    """Delta-checkpoint runs by system, plus AEON's full-checkpoint run."""
     systems: Dict[str, object] = {}
     aeon_full = None
     for cell, result in zip(cells, results):
-        system, mode = cell.key[0], cell.key[1]
-        if mode == "delta":
-            systems[system] = result.value
+        if cell.key[1] == "delta":
+            systems[cell.key[0]] = result.value
         else:
             aeon_full = result.value
-    return {
-        "window_ms": spec.faults.window_ms,
-        "systems": systems,
-        "aeon_full": aeon_full,
-    }
-
-
-def _assemble_ablation(spec, cells, results):
-    labels = {True: "chain-release", False: "hold-till-commit"}
-    return {
-        labels[cell.key[0]]: result.value
-        for cell, result in zip(cells, results)
-    }
+    return {"window_ms": spec.faults.window_ms, "systems": systems, "aeon_full": aeon_full}
 
 
 def _assemble_split_brain(spec, cells, results):
@@ -1721,27 +1446,18 @@ def _assemble_split_brain(spec, cells, results):
     a **nonzero** count with fencing off (restore rolls back to the
     last periodic checkpoint while the old owner was still serving).
     """
-    runs: Dict[str, Dict[str, object]] = {}
-    for cell, result in zip(cells, results):
-        label = "fenced" if cell.key[1] else "unfenced"
-        runs[label] = result.value
-    fenced = runs.get("fenced")
-    unfenced = runs.get("unfenced")
+    runs = _labelled(lambda key: "fenced" if key[1] else "unfenced")(
+        spec, cells, results
+    )
+    fenced = runs["fenced"]["lost_updates"] if "fenced" in runs else None
+    unfenced = runs["unfenced"]["lost_updates"] if "unfenced" in runs else None
     return {
         "runs": runs,
         "invariant": {
-            "fenced_lost_updates": (
-                fenced["lost_updates"] if fenced is not None else None
-            ),
-            "unfenced_lost_updates": (
-                unfenced["lost_updates"] if unfenced is not None else None
-            ),
-            "zero_loss_with_fencing": (
-                fenced is not None and fenced["lost_updates"] == 0
-            ),
-            "loss_without_fencing": (
-                unfenced is not None and unfenced["lost_updates"] > 0
-            ),
+            "fenced_lost_updates": fenced,
+            "unfenced_lost_updates": unfenced,
+            "zero_loss_with_fencing": fenced == 0,
+            "loss_without_fencing": unfenced is not None and unfenced > 0,
         },
     }
 
@@ -1751,25 +1467,6 @@ def _assemble_massive(spec, cells, results):
     if len(results) == 1:
         return results[0].value
     return {f"rep{cell.key[0]}": r.value for cell, r in zip(cells, results)}
-
-
-def _render_massive(spec, data) -> str:
-    runs = [data] if "contexts" in data else list(data.values())
-    lines = [spec.title, ""]
-    for run in runs:
-        lines.append(
-            f"  {run['flavor']:>5}: {run['contexts']:,} contexts "
-            f"({run['materialized']:,} materialized) on {run['servers']} "
-            f"servers, {run['clients']} clients"
-        )
-        lines.append(
-            f"         {run['throughput_per_s']:,.1f} ev/s  "
-            f"p50={run['p50_latency_ms']:.2f} ms  "
-            f"p99={run['p99_latency_ms']:.2f} ms  "
-            f"sampling={run['sampling']}  errors={run['errors']}"
-        )
-        lines.append(f"         checksum {run['checksum'][:16]}…")
-    return "\n".join(lines)
 
 
 def _assemble_churn_sweep(spec, cells, results):
@@ -1794,29 +1491,61 @@ def _assemble_churn_sweep(spec, cells, results):
     return {"window_ms": spec.faults.window_ms, "rows": rows, "runs": runs}
 
 
-def assemble_scenario(spec: ScenarioSpec, cells, results):
-    """Assemble cell results (in cell order) into the figure data."""
-    if spec.assemble:
-        return _resolve(spec.assemble)(spec, cells, results)
-    try:
-        assembler = _GENERIC_ASSEMBLERS[spec.output]
-    except KeyError:
-        raise ScenarioError(
-            f"scenario {spec.name!r}: no generic assembler for output "
-            f"{spec.output!r} and no custom 'assemble' hook"
-        ) from None
-    return assembler(spec, cells, results)
+# ----------------------------------------------------------------------
+# Rendering: figure data -> text
+# ----------------------------------------------------------------------
+class Col(NamedTuple):
+    """One declared table column: header, value getter and rounding.
+
+    ``get`` is a dotted key path into the row (``"slo.availability_pct"``;
+    ``""`` is the row itself) or a function of the row.  ``digits``
+    rounds the value (0 rounds to an int); ``None`` prints it as is.
+    """
+
+    header: str
+    get: Any
+    digits: Optional[int] = None
+
+    def value(self, row: Any) -> Any:
+        if callable(self.get):
+            value = self.get(row)
+        else:
+            value = row
+            for key in filter(None, self.get.split(".")):
+                value = value[key]
+        if self.digits is None:
+            return value
+        return round(value, self.digits) if self.digits else round(value)
 
 
-# ----------------------------------------------------------------------
-# Rendering: figure data -> text (keyed off the spec's output shape)
-# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Table:
+    """A declared table renderer: one line per ``(label, row)`` of
+    ``rows(data)``, then the optional ``footer(data)`` text."""
+
+    label: str
+    columns: Tuple[Col, ...]
+    rows: Callable[[Any], Any] = dict.items
+    footer: Optional[Callable[[Any], str]] = None
+
+    def __call__(self, spec: ScenarioSpec, data: Any) -> str:
+        table = format_table(
+            spec.title,
+            [self.label] + [col.header for col in self.columns],
+            [
+                [label] + [col.value(row) for col in self.columns]
+                for label, row in self.rows(data)
+            ],
+        )
+        return table + self.footer(data) if self.footer else table
+
+
 def _render_grid_curve(spec, data) -> str:
     systems = list(data)
-    xs = [x for x, _ in data[systems[0]]]
-    rows = []
-    for i, x in enumerate(xs):
-        rows.append([x] + [round(data[s][i][1]) for s in systems])
+    rows = [
+        [x] + [round(data[s][i][1]) for s in systems]
+        for i, (x, _value) in enumerate(data[systems[0]])
+    ]
     return format_table(spec.title, [spec.x_name] + systems, rows)
 
 
@@ -1830,50 +1559,54 @@ def _render_xy_curve(spec, data) -> str:
     return "\n".join(lines)
 
 
-def _sla_field(sla, name):
-    """Read an SLA field from a SlaReport or an aggregated-rep dict."""
-    return sla[name] if isinstance(sla, dict) else getattr(sla, name)
-
-
-def _render_fig7(spec, data) -> str:
+def _render_latency_runs(spec, data) -> str:
+    """One latency/SLA line per fig7 setup or elastic-scenario system;
+    elastic-scenario runs add their fleet and client peaks."""
     lines = [spec.title, ""]
-    for setup, run in data.items():
+    for label, run in data.items():
         values = [v for _t, v in run["latency_series"]]
-        lines.append(
-            f"  {setup:>8}: mean={mean(values):6.2f} ms  "
+        fleet = "peak_servers" in run
+        line = (
+            f"  {label:>{10 if fleet else 8}}: mean={mean(values):6.2f} ms  "
             f"peak={max(values) if values else 0:6.2f} ms  "
             f"violations={_sla_field(run['sla'], 'violation_pct'):5.1f}%"
         )
+        if fleet:
+            line += (
+                f"  servers avg={run['avg_servers']:.1f} peak={run['peak_servers']:.0f}  "
+                f"clients peak={run['peak_clients']}"
+            )
+        lines.append(line)
     return "\n".join(lines)
-
-
-def _render_table1(spec, data) -> str:
-    return format_table(
-        spec.title,
-        ["setup", "% requests > SLA", "avg servers", "requests"],
-        [
-            [r["setup"], round(r["violation_pct"], 1), round(r["avg_servers"], 1), r["requests"]]
-            for r in data
-        ],
-    )
 
 
 def _render_fig8(spec, data) -> str:
     lines = [spec.title, ""]
     for label, points in data.items():
         values = [v for _t, v in points]
-        steady = mean(values[:4]) if len(values) >= 4 else mean(values)
+        steady = mean(values[:4])
         dip = min(values) if values else 0.0
         lines.append(f"  {label:>12}: steady={steady:7.1f}/s  dip={dip:7.1f}/s")
     return "\n".join(lines)
 
 
-def _render_fig9(spec, data) -> str:
-    rows = [
-        [itype, round(sizes["1KB"], 1), round(sizes["1MB"], 1)]
-        for itype, sizes in data.items()
-    ]
-    return format_table(spec.title, ["instance", "1KB", "1MB"], rows)
+def _render_massive(spec, data) -> str:
+    runs = [data] if "contexts" in data else list(data.values())
+    lines = [spec.title, ""]
+    for run in runs:
+        lines.append(
+            f"  {run['flavor']:>5}: {run['contexts']:,} contexts "
+            f"({run['materialized']:,} materialized) on {run['servers']} "
+            f"servers, {run['clients']} clients"
+        )
+        lines.append(
+            f"         {run['throughput_per_s']:,.1f} ev/s  "
+            f"p50={run['p50_latency_ms']:.2f} ms  "
+            f"p99={run['p99_latency_ms']:.2f} ms  "
+            f"sampling={run['sampling']}  errors={run['errors']}"
+        )
+        lines.append(f"         checksum {run['checksum'][:16]}…")
+    return "\n".join(lines)
 
 
 def fig10_phases(run: Dict[str, object]) -> Dict[str, float]:
@@ -1904,216 +1637,176 @@ def fig10_phases(run: Dict[str, object]) -> Dict[str, float]:
     }
 
 
-def _render_fig10(spec, data) -> str:
-    rows = []
+def _fig10_rows(data):
+    """Each fig10 run with its goodput phases and mean detection latency."""
     for system, run in data.items():
-        phases = fig10_phases(run)
-        detections = run["detections"]
-        detect_ms = mean(
-            [d["latency_ms"] for d in detections if d["latency_ms"] is not None]
-        )
-        rows.append(
-            [
-                system,
-                round(phases["pre"], 1),
-                round(phases["outage"], 1),
-                round(phases["post"], 1),
-                round(detect_ms, 1),
-                run["contexts_recovered"],
-                run["events_failed"],
-            ]
-        )
-    return format_table(
-        spec.title,
-        ["system", "pre-crash", "outage", "recovered", "detect ms", "ctx restored", "failed"],
-        rows,
-    )
+        detect = [d["latency_ms"] for d in run["detections"] if d["latency_ms"] is not None]
+        yield system, {**run, **fig10_phases(run), "detect_ms": mean(detect)}
 
 
-def _render_fig11(spec, data) -> str:
-    rows = []
-    runs = dict(data["systems"])
-    runs["aeon (full ckpt)"] = data["aeon_full"]
-    for label, run in runs.items():
-        slo = run["slo"]
-        rows.append(
-            [
-                label,
-                round(slo["availability_pct"], 1),
-                round(slo["baseline_goodput_per_s"], 1),
-                round(slo["goodput_target_per_s"], 1),
-                round(run["mean_detection_latency_ms"], 1),
-                run["contexts_recovered"],
-                run["events_failed"],
-                run["checkpoints_taken"],
-                run["checkpoints_skipped"],
-                run["checkpoint_bytes_written"],
-            ]
-        )
-    table = format_table(
-        spec.title,
-        [
-            "system",
-            "avail %",
-            "base ev/s",
-            "target ev/s",
-            "detect ms",
-            "ctx restored",
-            "failed",
-            "ckpts",
-            "skipped",
-            "ckpt bytes",
-        ],
-        rows,
-    )
+def _fig11_footer(data) -> str:
     delta_bytes = data["systems"]["aeon"]["checkpoint_bytes_written"]
     full_bytes = data["aeon_full"]["checkpoint_bytes_written"]
     saving = 100.0 * (1.0 - delta_bytes / full_bytes) if full_bytes else 0.0
     return (
-        table
-        + f"\n\ndelta checkpoints: {delta_bytes:,} bytes vs full "
-        + f"{full_bytes:,} bytes ({saving:.1f}% saved on identical churn)"
+        f"\n\ndelta checkpoints: {delta_bytes:,} bytes vs full "
+        f"{full_bytes:,} bytes ({saving:.1f}% saved on identical churn)"
     )
 
 
-def _render_split_brain(spec, data) -> str:
-    rows = []
-    for label in ("fenced", "unfenced"):
-        run = data["runs"].get(label)
-        if run is None:
-            continue
-        rows.append(
-            [
-                label,
-                run["lost_updates"],
-                run["fenced_writes"],
-                run["flush_restores"],
-                run["contexts_recovered"],
-                run["false_detections"],
-                run["events_failed"],
-                run["client_retries"],
-            ]
-        )
-    table = format_table(
-        spec.title,
-        ["mode", "lost upd", "fenced wr", "flush rst", "ctx restored",
-         "false det", "failed", "retries"],
-        rows,
-    )
+def _split_brain_footer(data) -> str:
     inv = data["invariant"]
     return (
-        table
-        + f"\n\nzero lost updates with fencing: {inv['zero_loss_with_fencing']}"
-        + f"; lost updates without fencing: {inv['unfenced_lost_updates']}"
+        f"\n\nzero lost updates with fencing: {inv['zero_loss_with_fencing']}"
+        f"; lost updates without fencing: {inv['unfenced_lost_updates']}"
     )
 
 
-def _render_partition_recovery(spec, data) -> str:
-    rows = []
-    for system, run in data.items():
-        rows.append(
-            [
-                system,
-                round(run["partition_at_ms"], 1),
-                round(run["partition_heal_ms"], 1),
-                run["lost_updates"],
-                run["flush_restores"],
-                run["contexts_recovered"],
-                run["false_detections"],
-                run["events_failed"],
-            ]
-        )
-    return format_table(
-        spec.title,
-        ["system", "cut ms", "heal ms", "lost upd", "flush rst",
-         "ctx restored", "false det", "failed"],
-        rows,
-    )
+_RESTORED = Col("ctx restored", "contexts_recovered")
+_FAILED = Col("failed", "events_failed")
+_DETECT_MS = Col("detect ms", "mean_detection_latency_ms", 1)
+_CKPT_BYTES = Col("ckpt bytes", "checkpoint_bytes_written")
+_LOST = Col("lost upd", "lost_updates")
+_FLUSHED = Col("flush rst", "flush_restores")
+_FALSE_DET = Col("false det", "false_detections")
 
 
-def _render_ablation(spec, data) -> str:
-    return format_table(
-        spec.title,
-        ["mode", "events/s"],
-        [[k, round(v, 1)] for k, v in data.items()],
-    )
+class Output(NamedTuple):
+    """How one output kind turns cell results into figure data and text."""
+
+    assemble: Callable[[ScenarioSpec, Sequence[Cell], Sequence[Any]], Any]
+    render: Callable[[ScenarioSpec, Any], str]
 
 
-def _render_churn_sweep(spec, data) -> str:
-    rows = [
-        [
-            r["system"],
-            round(r["mtbf_ms"]),
-            r["crashes"],
-            round(r["availability_pct"], 1),
-            round(r["mean_detection_latency_ms"], 1),
-            r["contexts_recovered"],
-            r["events_failed"],
-            r["checkpoint_bytes_written"],
-        ]
-        for r in data["rows"]
-    ]
-    return format_table(
-        spec.title,
-        ["system", "MTBF ms", "crashes", "avail %", "detect ms",
-         "ctx restored", "failed", "ckpt bytes"],
-        rows,
-    )
-
-
-def _render_mixed(spec, data) -> str:
-    rows = []
-    for system, run in data.items():
-        rows.append(
-            [
-                system,
-                round(run["game"]["throughput_per_s"], 1),
-                round(run["game"]["p99_latency_ms"], 2),
-                round(run["tpcc"]["throughput_per_s"], 1),
-                round(run["tpcc"]["p99_latency_ms"], 2),
-                round(run["combined"]["throughput_per_s"], 1),
-                run["game_errors"] + run["tpcc_errors"],
-            ]
-        )
-    return format_table(
-        spec.title,
-        ["system", "game ev/s", "game p99", "tpcc txn/s", "tpcc p99",
-         "combined/s", "errors"],
-        rows,
-    )
-
-
-def _render_elastic(spec, data) -> str:
-    lines = [spec.title, ""]
-    for system, run in data.items():
-        values = [v for _t, v in run["latency_series"]]
-        lines.append(
-            f"  {system:>10}: mean={mean(values):6.2f} ms  "
-            f"peak={max(values) if values else 0:6.2f} ms  "
-            f"violations={_sla_field(run['sla'], 'violation_pct'):5.1f}%  "
-            f"servers avg={run['avg_servers']:.1f} peak={run['peak_servers']:.0f}  "
-            f"clients peak={run['peak_clients']}"
-        )
-    return "\n".join(lines)
-
-
-_GENERIC_RENDERERS = {
-    "curve": _render_grid_curve,
-    "xy": _render_xy_curve,
-    "runs": _render_fig10,
-    "elastic": _render_elastic,
-    "mixed": _render_mixed,
+#: Every output kind, by ``ScenarioSpec.output``: its assembler (cell
+#: results in cell order -> figure data) and its renderer (figure data,
+#: live or in its JSON form -> text).  A new kind is one entry here.
+OUTPUTS: Dict[str, Output] = {
+    "curve": Output(_assemble_curve, _render_grid_curve),
+    "xy": Output(_assemble_xy, _render_xy_curve),
+    "fig7": Output(_assemble_fig7, _render_latency_runs),
+    "elastic": Output(_labelled(), _render_latency_runs),
+    "table1": Output(_assemble_table1, Table(
+        "setup",
+        (
+            Col("% requests > SLA", "violation_pct", 1),
+            Col("avg servers", "avg_servers", 1),
+            Col("requests", "requests"),
+        ),
+        rows=lambda rows: [(row["setup"], row) for row in rows],
+    )),
+    "fig8": Output(_labelled(lambda key: f"{key[0]} contexts"), _render_fig8),
+    "fig9": Output(_assemble_fig9, Table(
+        "instance", (Col("1KB", "1KB", 1), Col("1MB", "1MB", 1))
+    )),
+    "fig10": Output(_labelled(), Table(
+        "system",
+        (
+            Col("pre-crash", "pre", 1),
+            Col("outage", "outage", 1),
+            Col("recovered", "post", 1),
+            Col("detect ms", "detect_ms", 1),
+            _RESTORED,
+            _FAILED,
+        ),
+        rows=_fig10_rows,
+    )),
+    "fig11": Output(_assemble_fig11, Table(
+        "system",
+        (
+            Col("avail %", "slo.availability_pct", 1),
+            Col("base ev/s", "slo.baseline_goodput_per_s", 1),
+            Col("target ev/s", "slo.goodput_target_per_s", 1),
+            _DETECT_MS,
+            _RESTORED,
+            _FAILED,
+            Col("ckpts", "checkpoints_taken"),
+            Col("skipped", "checkpoints_skipped"),
+            _CKPT_BYTES,
+        ),
+        rows=lambda data: [*data["systems"].items(), ("aeon (full ckpt)", data["aeon_full"])],
+        footer=_fig11_footer,
+    )),
+    "ablation": Output(
+        _labelled(lambda key: "chain-release" if key[0] else "hold-till-commit"),
+        Table("mode", (Col("events/s", "", 1),)),
+    ),
+    "churn_sweep": Output(_assemble_churn_sweep, Table(
+        "system",
+        (
+            Col("MTBF ms", "mtbf_ms", 0),
+            Col("crashes", "crashes"),
+            Col("avail %", "availability_pct", 1),
+            _DETECT_MS,
+            _RESTORED,
+            _FAILED,
+            _CKPT_BYTES,
+        ),
+        rows=lambda data: [(row["system"], row) for row in data["rows"]],
+    )),
+    "split_brain": Output(_assemble_split_brain, Table(
+        "mode",
+        (
+            _LOST,
+            Col("fenced wr", "fenced_writes"),
+            _FLUSHED,
+            _RESTORED,
+            _FALSE_DET,
+            _FAILED,
+            Col("retries", "client_retries"),
+        ),
+        rows=lambda data: [
+            (label, data["runs"][label])
+            for label in ("fenced", "unfenced")
+            if label in data["runs"]
+        ],
+        footer=_split_brain_footer,
+    )),
+    "partition_recovery": Output(_labelled(), Table(
+        "system",
+        (
+            Col("cut ms", "partition_at_ms", 1),
+            Col("heal ms", "partition_heal_ms", 1),
+            _LOST,
+            _FLUSHED,
+            _RESTORED,
+            _FALSE_DET,
+            _FAILED,
+        ),
+    )),
+    "mixed": Output(_labelled(), Table(
+        "system",
+        (
+            Col("game ev/s", "game.throughput_per_s", 1),
+            Col("game p99", "game.p99_latency_ms", 2),
+            Col("tpcc txn/s", "tpcc.throughput_per_s", 1),
+            Col("tpcc p99", "tpcc.p99_latency_ms", 2),
+            Col("combined/s", "combined.throughput_per_s", 1),
+            Col("errors", lambda run: run["game_errors"] + run["tpcc_errors"]),
+        ),
+    )),
+    "massive": Output(_assemble_massive, _render_massive),
 }
+
+
+def _output(spec: ScenarioSpec) -> Output:
+    try:
+        return OUTPUTS[spec.output]
+    except KeyError:
+        raise ScenarioError(
+            f"scenario {spec.name!r}: unknown output {spec.output!r}; "
+            f"pick from {', '.join(sorted(OUTPUTS))}"
+        ) from None
+
+
+def assemble_scenario(spec: ScenarioSpec, cells, results):
+    """Assemble cell results (in cell order) into the figure data."""
+    return _output(spec).assemble(spec, cells, results)
 
 
 def render_scenario(spec: ScenarioSpec, data) -> str:
     """Human-readable rendering of a scenario's assembled data."""
-    if spec.render:
-        return _resolve(spec.render)(spec, data)
-    renderer = _GENERIC_RENDERERS.get(spec.output)
-    if renderer is None:
-        return repr(data)
-    return renderer(spec, data)
+    return _output(spec).render(spec, data)
 
 
 # ----------------------------------------------------------------------
@@ -2207,353 +1900,261 @@ def run_scenario(
 # ----------------------------------------------------------------------
 # Registered scenarios — the paper's figures
 # ----------------------------------------------------------------------
-@scenario
-def _fig5a() -> ScenarioSpec:
-    """Game throughput vs number of servers, all five systems."""
-    return ScenarioSpec(
-        name="fig5a",
-        title="Fig 5a — game scale-out (events/s)",
-        description="Game throughput vs number of servers, all five systems.",
-        app="game",
-        workload=WorkloadSpec(think_ms=2.0),
-        metrics=("throughput_per_s",),
-        output="curve",
-        x_name="servers",
-    )
+register(ScenarioSpec(
+    name="fig5a",
+    title="Fig 5a — game scale-out (events/s)",
+    description="Game throughput vs number of servers, all five systems.",
+    app="game",
+    workload=WorkloadSpec(think_ms=2.0),
+    metrics=("throughput_per_s",),
+    output="curve",
+    x_name="servers",
+))
 
+register(ScenarioSpec(
+    name="fig5b",
+    title="Fig 5b — game latency vs throughput (thr/s, ms)",
+    description="Game latency vs throughput at 8 servers over a client sweep.",
+    app="game",
+    servers=8,
+    workload=WorkloadSpec(think_ms=2.0),
+    axes=(("clients", ()),),  # () -> the scale preset's client_sweep
+    metrics=("throughput_per_s", "mean_latency_ms"),
+    output="xy",
+))
 
-@scenario
-def _fig5b() -> ScenarioSpec:
-    """Game (throughput, mean latency) pairs over a client sweep."""
-    return ScenarioSpec(
-        name="fig5b",
-        title="Fig 5b — game latency vs throughput (thr/s, ms)",
-        description="Game latency vs throughput at 8 servers over a client sweep.",
-        app="game",
-        servers=8,
-        workload=WorkloadSpec(think_ms=2.0),
-        axes=(("clients", ()),),  # () -> the scale preset's client_sweep
-        metrics=("throughput_per_s", "mean_latency_ms"),
-        output="xy",
-    )
+register(ScenarioSpec(
+    name="fig6a",
+    title="Fig 6a — TPC-C scale-out (events/s)",
+    description="TPC-C throughput vs number of servers (one district each).",
+    app="tpcc",
+    workload=WorkloadSpec(think_ms=5.0),
+    metrics=("throughput_per_s",),
+    output="curve",
+    x_name="servers",
+))
 
+register(ScenarioSpec(
+    name="fig6b",
+    title="Fig 6b — TPC-C latency vs throughput (txn/s, ms)",
+    description="TPC-C latency vs throughput at 8 servers over a client sweep.",
+    app="tpcc",
+    servers=8,
+    workload=WorkloadSpec(think_ms=5.0),
+    axes=(("clients", ()),),
+    metrics=("throughput_per_s", "mean_latency_ms"),
+    output="xy",
+))
 
-@scenario
-def _fig6a() -> ScenarioSpec:
-    """TPC-C throughput vs number of servers (one district each)."""
-    return ScenarioSpec(
-        name="fig6a",
-        title="Fig 6a — TPC-C scale-out (events/s)",
-        description="TPC-C throughput vs number of servers (one district each).",
-        app="tpcc",
-        workload=WorkloadSpec(think_ms=5.0),
-        metrics=("throughput_per_s",),
-        output="curve",
-        x_name="servers",
-    )
+register(ScenarioSpec(
+    name="fig7",
+    title="Fig 7 — elastic vs static (mean latency per setup)",
+    description="Latency and fleet-size time series, elastic vs static setups.",
+    cell=f"{_SCN}:_elastic_cell",
+    axes=(("setup", ("elastic", "8", "16", "32")), ("rep", (0,))),
+    output="fig7",
+))
 
+register(ScenarioSpec(
+    name="table1",
+    title="Table 1 — SLA performance and cost",
+    description="SLA violations and average fleet size per setup.",
+    cell=f"{_SCN}:_elastic_cell",
+    axes=(("setup", ("8", "16", "22", "32", "elastic")), ("rep", (0,))),
+    output="table1",
+))
 
-@scenario
-def _fig6b() -> ScenarioSpec:
-    """TPC-C (throughput, mean latency) pairs over a client sweep."""
-    return ScenarioSpec(
-        name="fig6b",
-        title="Fig 6b — TPC-C latency vs throughput (txn/s, ms)",
-        description="TPC-C latency vs throughput at 8 servers over a client sweep.",
-        app="tpcc",
-        servers=8,
-        workload=WorkloadSpec(think_ms=5.0),
-        axes=(("clients", ()),),
-        metrics=("throughput_per_s", "mean_latency_ms"),
-        output="xy",
-    )
+register(ScenarioSpec(
+    name="fig8",
+    title="Fig 8 — throughput while migrating Room contexts",
+    description="Throughput time series while migrating 1/8/12 of 20 Rooms.",
+    cell=f"{_SCN}:_fig8_cell",
+    axes=(("n_migrations", (1, 8, 12)),),
+    output="fig8",
+))
 
+register(ScenarioSpec(
+    name="fig9",
+    title="Fig 9 — eManager max migration throughput (contexts/s)",
+    description="eManager migration throughput per instance type and payload.",
+    cell=f"{_SCN}:_fig9_cell",
+    axes=(
+        ("itype_name", ("m1.large", "m1.medium", "m1.small")),
+        ("size_bytes", (1024, 1_000_000)),
+    ),
+    output="fig9",
+))
 
-@scenario
-def _fig7() -> ScenarioSpec:
-    """Latency/server-count time series: elastic vs static setups."""
-    return ScenarioSpec(
-        name="fig7",
-        title="Fig 7 — elastic vs static (mean latency per setup)",
-        description="Latency and fleet-size time series, elastic vs static setups.",
-        cell=f"{_SCN}:_elastic_cell",
-        axes=(("setup", ("elastic", "8", "16", "32")), ("rep", (0,))),
-        output="fig7",
-        assemble=f"{_SCN}:_assemble_fig7",
-        render=f"{_SCN}:_render_fig7",
-    )
+register(ScenarioSpec(
+    name="fig10",
+    title="Fig 10 — goodput through a crash/recovery timeline (events/s)",
+    description="Availability through one mid-run server crash and recovery.",
+    app="game",
+    systems=("aeon", "eventwave", "orleans"),
+    servers=6,
+    game=GameSpec(players_per_room=4, shared_items_per_room=2),
+    workload=WorkloadSpec(think_ms=8.0, max_retries=2),
+    faults=FaultSpec(kind="crash"),
+    output="fig10",
+))
 
+register(ScenarioSpec(
+    name="fig11",
+    title="Fig 11 — availability SLO under crash/restart churn",
+    description="Windowed availability SLO under sustained crash/restart churn.",
+    app="game",
+    systems=("aeon", "eventwave", "orleans"),
+    servers=6,
+    game=GameSpec(
+        players_per_room=4, shared_items_per_room=2, room_weights="geometric"
+    ),
+    workload=WorkloadSpec(think_ms=8.0, max_retries=2),
+    faults=FaultSpec(kind="churn"),
+    points=(
+        (("system", "aeon"), ("checkpoint_mode", "delta")),
+        (("system", "eventwave"), ("checkpoint_mode", "delta")),
+        (("system", "orleans"), ("checkpoint_mode", "delta")),
+        (("system", "aeon"), ("checkpoint_mode", "full")),
+    ),
+    output="fig11",
+))
 
-@scenario
-def _table1() -> ScenarioSpec:
-    """SLA violation percentage and average servers per setup."""
-    return ScenarioSpec(
-        name="table1",
-        title="Table 1 — SLA performance and cost",
-        description="SLA violations and average fleet size per setup.",
-        cell=f"{_SCN}:_elastic_cell",
-        axes=(("setup", ("8", "16", "22", "32", "elastic")), ("rep", (0,))),
-        output="table1",
-        assemble=f"{_SCN}:_assemble_table1",
-        render=f"{_SCN}:_render_table1",
-    )
-
-
-@scenario
-def _fig8() -> ScenarioSpec:
-    """Throughput time series while migrating 1/8/12 of 20 Rooms."""
-    return ScenarioSpec(
-        name="fig8",
-        title="Fig 8 — throughput while migrating Room contexts",
-        description="Throughput time series while migrating 1/8/12 of 20 Rooms.",
-        cell=f"{_SCN}:_fig8_cell",
-        axes=(("n_migrations", (1, 8, 12)),),
-        output="fig8",
-        assemble=f"{_SCN}:_assemble_fig8",
-        render=f"{_SCN}:_render_fig8",
-    )
-
-
-@scenario
-def _fig9() -> ScenarioSpec:
-    """Max contexts/s the eManager migrates, per instance type and size."""
-    return ScenarioSpec(
-        name="fig9",
-        title="Fig 9 — eManager max migration throughput (contexts/s)",
-        description="eManager migration throughput per instance type and payload.",
-        cell=f"{_SCN}:_fig9_cell",
-        axes=(
-            ("itype_name", ("m1.large", "m1.medium", "m1.small")),
-            ("size_bytes", (1024, 1_000_000)),
-        ),
-        output="fig9",
-        assemble=f"{_SCN}:_assemble_fig9",
-        render=f"{_SCN}:_render_fig9",
-    )
-
-
-@scenario
-def _fig10() -> ScenarioSpec:
-    """Goodput/p99 through a crash/recovery timeline, AEON vs baselines."""
-    return ScenarioSpec(
-        name="fig10",
-        title="Fig 10 — goodput through a crash/recovery timeline (events/s)",
-        description="Availability through one mid-run server crash and recovery.",
-        app="game",
-        systems=("aeon", "eventwave", "orleans"),
-        servers=6,
-        game=GameSpec(players_per_room=4, shared_items_per_room=2),
-        workload=WorkloadSpec(think_ms=8.0, max_retries=2),
-        faults=FaultSpec(kind="crash"),
-        output="runs",
-        render=f"{_SCN}:_render_fig10",
-    )
-
-
-@scenario
-def _fig11() -> ScenarioSpec:
-    """Availability SLO table under sustained churn, AEON vs baselines."""
-    return ScenarioSpec(
-        name="fig11",
-        title="Fig 11 — availability SLO under crash/restart churn",
-        description="Windowed availability SLO under sustained crash/restart churn.",
-        app="game",
-        systems=("aeon", "eventwave", "orleans"),
-        servers=6,
-        game=GameSpec(
-            players_per_room=4, shared_items_per_room=2, room_weights="geometric"
-        ),
-        workload=WorkloadSpec(think_ms=8.0, max_retries=2),
-        faults=FaultSpec(kind="churn"),
-        points=(
-            (("system", "aeon"), ("checkpoint_mode", "delta")),
-            (("system", "eventwave"), ("checkpoint_mode", "delta")),
-            (("system", "orleans"), ("checkpoint_mode", "delta")),
-            (("system", "aeon"), ("checkpoint_mode", "full")),
-        ),
-        output="fig11",
-        assemble=f"{_SCN}:_assemble_fig11",
-        render=f"{_SCN}:_render_fig11",
-    )
-
-
-@scenario
-def _ablation() -> ScenarioSpec:
-    """TPC-C throughput with and without chain (early) release."""
-    return ScenarioSpec(
-        name="ablation",
-        title="Ablation — chain release (TPC-C, AEON_SO, 4 servers)",
-        description="TPC-C throughput with and without chain (early) release.",
-        cell=f"{_SCN}:_ablation_cell",
-        axes=(("early_release", (True, False)),),
-        output="ablation",
-        assemble=f"{_SCN}:_assemble_ablation",
-        render=f"{_SCN}:_render_ablation",
-    )
+register(ScenarioSpec(
+    name="ablation",
+    title="Ablation — chain release (TPC-C, AEON_SO, 4 servers)",
+    description="TPC-C throughput with and without chain (early) release.",
+    cell=f"{_SCN}:_ablation_cell",
+    axes=(("early_release", (True, False)),),
+    output="ablation",
+))
 
 
 # ----------------------------------------------------------------------
 # Registered scenarios — beyond the paper (the old API made these painful)
 # ----------------------------------------------------------------------
-@scenario
-def _mixed_cotenancy() -> ScenarioSpec:
-    """Game + TPC-C co-tenants sharing one fleet (per-app + combined metrics)."""
-    return ScenarioSpec(
-        name="mixed_cotenancy",
-        title="Mixed co-tenancy — game + TPC-C on one fleet",
-        description="Game and TPC-C deployed on the same servers under "
-        "concurrent load; per-app and combined throughput/latency. "
-        "(EventWave is excluded: one root context per runtime.)",
-        app="mixed",
-        systems=("aeon", "aeon_so", "orleans"),
-        servers=6,
-        workload=WorkloadSpec(think_ms=2.0, clients_per_server=30),
-        tpcc_workload=WorkloadSpec(
-            think_ms=5.0, clients_per_server=8, name_prefix="tpcc-client"
-        ),
-        output="mixed",
-    )
+register(ScenarioSpec(
+    name="mixed_cotenancy",
+    title="Mixed co-tenancy — game + TPC-C on one fleet",
+    description="Game and TPC-C deployed on the same servers under "
+    "concurrent load; per-app and combined throughput/latency. "
+    "(EventWave is excluded: one root context per runtime.)",
+    app="mixed",
+    systems=("aeon", "aeon_so", "orleans"),
+    servers=6,
+    workload=WorkloadSpec(think_ms=2.0, clients_per_server=30),
+    tpcc_workload=WorkloadSpec(
+        think_ms=5.0, clients_per_server=8, name_prefix="tpcc-client"
+    ),
+    output="mixed",
+))
 
+register(ScenarioSpec(
+    name="churn_sweep",
+    title="Churn sweep — availability vs MTBF (delta checkpoints)",
+    description="fig11's churn run swept over mean-time-between-crashes: "
+    "how availability degrades as churn intensifies.",
+    app="game",
+    systems=("aeon",),
+    servers=6,
+    game=GameSpec(
+        players_per_room=4, shared_items_per_room=2, room_weights="geometric"
+    ),
+    workload=WorkloadSpec(think_ms=8.0, max_retries=2),
+    faults=FaultSpec(kind="churn", checkpoint_mode="delta"),
+    axes=(("mtbf_ms", (1500.0, 3000.0, 6000.0)),),
+    output="churn_sweep",
+))
 
-@scenario
-def _churn_sweep() -> ScenarioSpec:
-    """Availability vs churn intensity: an MTBF sweep of the fig11 run."""
-    return ScenarioSpec(
-        name="churn_sweep",
-        title="Churn sweep — availability vs MTBF (delta checkpoints)",
-        description="fig11's churn run swept over mean-time-between-crashes: "
-        "how availability degrades as churn intensifies.",
-        app="game",
-        systems=("aeon",),
-        servers=6,
-        game=GameSpec(
-            players_per_room=4, shared_items_per_room=2, room_weights="geometric"
-        ),
-        workload=WorkloadSpec(think_ms=8.0, max_retries=2),
-        faults=FaultSpec(kind="churn", checkpoint_mode="delta"),
-        axes=(("mtbf_ms", (1500.0, 3000.0, 6000.0)),),
-        output="churn_sweep",
-        assemble=f"{_SCN}:_assemble_churn_sweep",
-        render=f"{_SCN}:_render_churn_sweep",
-    )
+register(ScenarioSpec(
+    name="split_brain",
+    title="Split brain — fencing epochs vs lost updates (asymmetric partition)",
+    description="An asymmetric partition cuts the detector and eManager "
+    "off from one server while clients still reach it; recovery "
+    "re-places its subtrees while the old owner keeps serving.  With "
+    "fencing the old owner is fenced at declaration and its step-down "
+    "flush preserves every acked write (zero lost updates); with "
+    "fencing off the restore rolls back to the last periodic "
+    "checkpoint and the rolled-back writes are counted.",
+    app="game",
+    systems=("aeon",),
+    servers=4,
+    game=GameSpec(players_per_room=4, shared_items_per_room=2),
+    workload=WorkloadSpec(think_ms=8.0, max_retries=3),
+    faults=FaultSpec(
+        kind="split_brain",
+        honest_recovery=True,
+        crash_drops_state=True,
+    ),
+    axes=(("fencing", (True, False)),),
+    output="split_brain",
+))
 
+register(ScenarioSpec(
+    name="partition_recovery",
+    title="Partition recovery — the cut heals mid-recovery (fencing on)",
+    description="The detector-side partition heals inside the fencing "
+    "step-down grace window, while recovery is mid-flight: the "
+    "returning owner is re-admitted at the current epoch, the flush "
+    "still covers every acked write, and nothing is lost or doubly "
+    "applied.",
+    app="game",
+    systems=("aeon",),
+    servers=4,
+    game=GameSpec(players_per_room=4, shared_items_per_room=2),
+    workload=WorkloadSpec(think_ms=8.0, max_retries=3),
+    faults=FaultSpec(
+        kind="partition_recovery",
+        fencing=True,
+        honest_recovery=True,
+        crash_drops_state=True,
+    ),
+    output="partition_recovery",
+))
 
-@scenario
-def _split_brain() -> ScenarioSpec:
-    """Asymmetric partition: fencing's zero-lost-updates invariant."""
-    return ScenarioSpec(
-        name="split_brain",
-        title="Split brain — fencing epochs vs lost updates (asymmetric partition)",
-        description="An asymmetric partition cuts the detector and eManager "
-        "off from one server while clients still reach it; recovery "
-        "re-places its subtrees while the old owner keeps serving.  With "
-        "fencing the old owner is fenced at declaration and its step-down "
-        "flush preserves every acked write (zero lost updates); with "
-        "fencing off the restore rolls back to the last periodic "
-        "checkpoint and the rolled-back writes are counted.",
-        app="game",
-        systems=("aeon",),
-        servers=4,
-        game=GameSpec(players_per_room=4, shared_items_per_room=2),
-        workload=WorkloadSpec(think_ms=8.0, max_retries=3),
-        faults=FaultSpec(
-            kind="split_brain",
-            honest_recovery=True,
-            crash_drops_state=True,
-        ),
-        axes=(("fencing", (True, False)),),
-        output="split_brain",
-        assemble=f"{_SCN}:_assemble_split_brain",
-        render=f"{_SCN}:_render_split_brain",
-    )
+register(ScenarioSpec(
+    name="massive_game",
+    title="Massive game — a million players on the columnar core",
+    description="A huge single-parent player population registered "
+    "through the columnar bulk path: leaves materialize lazily on "
+    "first touch, percentiles come from the reservoir-sampling "
+    "recorder, and a state digest pins determinism.  ~100k contexts "
+    "at --scale quick (the CI smoke tier), 1M+ at --scale massive.",
+    cell=f"{_SCN}:_massive_game_cell",
+    axes=(("rep", (0,)),),
+    output="massive",
+))
 
+register(ScenarioSpec(
+    name="massive_tpcc",
+    title="Massive TPC-C — a million terminals on the columnar core",
+    description="The TPC-C-shaped massive tier: order-submitting "
+    "terminal leaves under district shards, bulk-registered and "
+    "lazily materialized.  ~100k contexts at --scale quick (the CI "
+    "smoke tier), 1M+ at --scale massive.",
+    cell=f"{_SCN}:_massive_tpcc_cell",
+    axes=(("rep", (0,)),),
+    output="massive",
+))
 
-@scenario
-def _partition_recovery() -> ScenarioSpec:
-    """A partition healing mid-recovery: re-admission without data loss."""
-    return ScenarioSpec(
-        name="partition_recovery",
-        title="Partition recovery — the cut heals mid-recovery (fencing on)",
-        description="The detector-side partition heals inside the fencing "
-        "step-down grace window, while recovery is mid-flight: the "
-        "returning owner is re-admitted at the current epoch, the flush "
-        "still covers every acked write, and nothing is lost or doubly "
-        "applied.",
-        app="game",
-        systems=("aeon",),
-        servers=4,
-        game=GameSpec(players_per_room=4, shared_items_per_room=2),
-        workload=WorkloadSpec(think_ms=8.0, max_retries=3),
-        faults=FaultSpec(
-            kind="partition_recovery",
-            fencing=True,
-            honest_recovery=True,
-            crash_drops_state=True,
-        ),
-        output="runs",
-        render=f"{_SCN}:_render_partition_recovery",
-    )
-
-
-@scenario
-def _massive_game() -> ScenarioSpec:
-    """A million bulk-registered game players on the columnar core."""
-    return ScenarioSpec(
-        name="massive_game",
-        title="Massive game — a million players on the columnar core",
-        description="A huge single-parent player population registered "
-        "through the columnar bulk path: leaves materialize lazily on "
-        "first touch, percentiles come from the reservoir-sampling "
-        "recorder, and a state digest pins determinism.  ~100k contexts "
-        "at --scale quick (the CI smoke tier), 1M+ at --scale massive.",
-        cell=f"{_SCN}:_massive_game_cell",
-        axes=(("rep", (0,)),),
-        output="massive",
-        assemble=f"{_SCN}:_assemble_massive",
-        render=f"{_SCN}:_render_massive",
-    )
-
-
-@scenario
-def _massive_tpcc() -> ScenarioSpec:
-    """A million bulk-registered TPC-C terminals on the columnar core."""
-    return ScenarioSpec(
-        name="massive_tpcc",
-        title="Massive TPC-C — a million terminals on the columnar core",
-        description="The TPC-C-shaped massive tier: order-submitting "
-        "terminal leaves under district shards, bulk-registered and "
-        "lazily materialized.  ~100k contexts at --scale quick (the CI "
-        "smoke tier), 1M+ at --scale massive.",
-        cell=f"{_SCN}:_massive_tpcc_cell",
-        axes=(("rep", (0,)),),
-        output="massive",
-        assemble=f"{_SCN}:_assemble_massive",
-        render=f"{_SCN}:_render_massive",
-    )
-
-
-@scenario
-def _diurnal() -> ScenarioSpec:
-    """Diurnal-wave elasticity: the eManager tracking day/night load cycles."""
-    return ScenarioSpec(
-        name="diurnal",
-        title="Diurnal elasticity — two-peak day/night load (elastic fleet)",
-        description="An elastic AEON fleet following a two-cycle diurnal "
-        "client wave; latency vs fleet-size trajectories and SLA score.",
-        app="game",
-        systems=("aeon",),
-        servers=8,
-        instance="m1.small",
-        game=GameSpec(rooms=32, players_per_room=4, shared_items_per_room=2),
-        workload=WorkloadSpec(
-            kind="ramp",
-            profile="diurnal",
-            think_ms=12.0,
-            machines=8,
-            min_per_machine=1,
-            max_per_machine=16,
-            cycles=2,
-        ),
-        elastic=ElasticSpec(),
-        output="elastic",
-    )
+register(ScenarioSpec(
+    name="diurnal",
+    title="Diurnal elasticity — two-peak day/night load (elastic fleet)",
+    description="An elastic AEON fleet following a two-cycle diurnal "
+    "client wave; latency vs fleet-size trajectories and SLA score.",
+    app="game",
+    systems=("aeon",),
+    servers=8,
+    instance="m1.small",
+    game=GameSpec(rooms=32, players_per_room=4, shared_items_per_room=2),
+    workload=WorkloadSpec(
+        kind="ramp",
+        profile="diurnal",
+        think_ms=12.0,
+        machines=8,
+        min_per_machine=1,
+        max_per_machine=16,
+        cycles=2,
+    ),
+    elastic=ElasticSpec(),
+    output="elastic",
+))

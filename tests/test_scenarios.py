@@ -14,16 +14,26 @@ was generated by the pre-spec ``figN()`` implementations (``--all
 * the exact cell plan (keys, cell function, kwargs) of all eleven
   figures, which — cells being deterministic functions of their
   kwargs — extends the byte-identity guarantee to the figures whose
-  full runs are too slow for tier-1 (fig7, table1, fig8).
+  full runs are too slow for tier-1 (fig7, table1, fig8);
+* the rendered text of every registered scenario, computed from stored
+  JSON data alone: the golden above plus
+  ``tests/data/scenarios_quick_seed0.json`` (the 7 scenarios outside
+  ``--all``), against ``tests/data/scenarios_rendered_quick_seed0.json``.
 
-CI's experiments-smoke job re-runs ``--all`` and diffs the complete
-JSON against the same golden file (tools/compare_figures.py).
+CI's experiments-smoke and massive-smoke jobs re-run the scenarios and
+diff their complete JSON against both golden files
+(tools/compare_figures.py).
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.harness.experiments import (
     ALL_EXPERIMENTS,
@@ -42,6 +52,7 @@ from repro.harness.scenarios import (
     expand,
     get_scenario,
     list_scenarios,
+    render_scenario,
     run_point,
     run_scenario,
     sweep_axes,
@@ -513,102 +524,46 @@ def test_cli_scenario_end_to_end(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Zip axes: paired sweeps alongside the cross-product
+# Rendering: every scenario's stored data renders to pinned text
 # ----------------------------------------------------------------------
-def _zip_spec(**changes):
-    spec = get_scenario("fig5a").with_(
-        name="ziptest",
-        systems=("aeon",),
-        server_counts=(2,),
-        zip_axes=(("clients", (8, 16)), ("think_ms", (1.0, 2.0))),
+#: Seed-0 quick-scale ``--json`` data of all 18 scenarios: the 11 paper
+#: figures plus the 7 scenarios outside ``--all``.
+_DATA = Path(__file__).parent / "data"
+STORED = {
+    **GOLDEN,
+    **json.loads(
+        (_DATA / "scenarios_quick_seed0.json").read_text(encoding="utf-8")
+    )["experiments"],
+}
+RENDERED = json.loads(
+    (_DATA / "scenarios_rendered_quick_seed0.json").read_text(encoding="utf-8")
+)
+
+
+def test_stored_data_covers_every_scenario():
+    assert sorted(STORED) == sorted(RENDERED) == list_scenarios()
+
+
+@pytest.mark.parametrize("name", sorted(RENDERED))
+def test_render_stored_data_matches_pinned_text(name):
+    # JSON-form data (what --json and the result store hold): SlaReport
+    # dataclasses arrive as plain dicts without their properties.
+    assert render_scenario(get_scenario(name), STORED[name]) == RENDERED[name]
+
+
+def test_cli_module_runs_without_runpy_warning():
+    # The package must not import the CLI module, or ``python -m`` runs
+    # it a second time and runpy warns about unpredictable behaviour.
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning",
+         "-m", "repro.harness.experiments", "--list-scenarios"],
+        capture_output=True, text=True, env=env, timeout=120,
     )
-    return spec.with_(**changes) if changes else spec
-
-
-def test_zip_axes_pair_instead_of_crossing():
-    cells = expand(_zip_spec())
-    # 1 system x 1 server count x 2 zip positions — not 2x2.
-    assert [c.key for c in cells] == [
-        ("aeon", 2, 8, 1.0),
-        ("aeon", 2, 16, 2.0),
-    ]
-    for cell, (clients, think) in zip(cells, [(8, 1.0), (16, 2.0)]):
-        assert cell.kwargs["clients"] == clients
-        assert cell.kwargs["think_ms"] == think
-
-
-def test_zip_axes_cross_with_the_product_axes():
-    cells = expand(_zip_spec(server_counts=(2, 4)))
-    # Cross axes expand first; zip positions vary fastest within each.
-    assert [c.key for c in cells] == [
-        ("aeon", 2, 8, 1.0),
-        ("aeon", 2, 16, 2.0),
-        ("aeon", 4, 8, 1.0),
-        ("aeon", 4, 16, 2.0),
-    ]
-
-
-def test_zip_axes_empty_values_pull_scale_defaults():
-    from repro.harness.scenarios import SCALES, zip_points
-
-    # () pulls the scale preset, exactly like cross axes — so both zip
-    # axes here must resolve to the quick preset's client_sweep length.
-    sweep = SCALES["quick"].client_sweep
-    spec = _zip_spec(
-        zip_axes=(("clients", ()), ("think_ms", tuple(float(i) for i in range(len(sweep))))),
-    )
-    points = zip_points(spec)
-    assert [dict(p)["clients"] for p in points] == list(sweep)
-
-
-def test_zip_axes_length_mismatch_fails_fast():
-    bad = _zip_spec(zip_axes=(("clients", (8, 16)), ("think_ms", (1.0,))))
-    with pytest.raises(ScenarioError, match="equal lengths"):
-        expand(bad)
-
-
-def test_zip_axes_name_collision_fails_fast():
-    spec = get_scenario("fig5b").with_(
-        name="zipcollide", zip_axes=(("clients", (8, 16)),)
-    )  # fig5b already sweeps a "clients" cross axis
-    with pytest.raises(ScenarioError, match="collides"):
-        expand(spec)
-
-
-def test_zip_axes_conflict_with_explicit_points_fails_fast():
-    spec = get_scenario("fig11").with_(
-        name="zippoints", zip_axes=(("clients", (8,)),)
-    )
-    with pytest.raises(ScenarioError, match="explicit points"):
-        expand(spec)
-
-
-def test_set_overrides_zip_axis_values():
-    spec = apply_overrides(_zip_spec(), ["clients=32,64"])
-    assert dict(spec.zip_axes)["clients"] == (32, 64)
-    assert dict(spec.zip_axes)["think_ms"] == (1.0, 2.0)
-    # A scalar replacement shrinks one axis: expansion then fail-fasts.
-    with pytest.raises(ScenarioError, match="equal lengths"):
-        expand(apply_overrides(_zip_spec(), ["clients=32"]))
-
-
-def test_zip_axes_protected_from_direct_set():
-    with pytest.raises(ScenarioError, match="cannot be overridden"):
-        apply_overrides(_zip_spec(), ["zip_axes=()"])
-
-
-def test_zip_axes_end_to_end_run():
-    data = run_scenario(
-        _zip_spec(
-            duration_ms=600.0,
-            warmup_ms=200.0,
-            output="xy",
-            metrics=("throughput_per_s", "mean_latency_ms"),
-        ),
-        scale="quick",
-        seed=0,
-    )
-    # xy output keeps each sweep point: one system, one server count,
-    # two zip positions -> two (throughput, latency) pairs for aeon.
-    assert len(data["aeon"]) == 2
-    assert all(thr > 0 and lat > 0 for thr, lat in data["aeon"])
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    for name in list_scenarios():
+        assert name in proc.stdout
